@@ -4,11 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 MAX_ORDER = 64
-
-_SQRT_PI = np.sqrt(np.pi)
-_PI_QUARTER = np.pi ** -0.25
 
 
 @dataclass(frozen=True)
@@ -32,79 +30,21 @@ class GHRule:
         return float(np.dot(self.weights, values))
 
 
-def _hermite_newton(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton iteration on the orthonormal Hermite three-term recurrence.
-
-    Standard asymptotic initial guesses for the largest roots, then each
-    subsequent root is seeded from the previous ones. Only the upper half is
-    computed; symmetry supplies the rest.
-    """
-    m = order
-    n_half = (m + 1) // 2
-    nodes = np.empty(n_half)
-    weights = np.empty(n_half)
-
-    z = 0.0
-    for i in range(n_half):
-        if i == 0:
-            z = np.sqrt(2 * m + 1) - 1.85575 * (2 * m + 1) ** (-1 / 6)
-        elif i == 1:
-            z -= 1.14 * m ** 0.426 / z
-        elif i == 2:
-            z = 1.86 * z - 0.86 * nodes[0]
-        elif i == 3:
-            z = 1.91 * z - 0.91 * nodes[1]
-        else:
-            z = 2.0 * z - nodes[i - 2]
-
-        pp = 0.0
-        for _ in range(100):
-            # Orthonormal recurrence: p_j = z*sqrt(2/j)*p_{j-1} - sqrt((j-1)/j)*p_{j-2}
-            p1 = _PI_QUARTER
-            p2 = 0.0
-            for j in range(1, m + 1):
-                p3 = p2
-                p2 = p1
-                p1 = z * np.sqrt(2.0 / j) * p2 - np.sqrt((j - 1.0) / j) * p3
-            pp = np.sqrt(2.0 * m) * p2
-            dz = p1 / pp
-            z -= dz
-            if abs(dz) <= 1e-15 * max(1.0, abs(z)):
-                break
-        else:
-            raise RuntimeError(f"Newton iteration failed to converge for order {m}")
-        nodes[i] = z
-        weights[i] = 2.0 / (pp * pp)
-
-    return nodes, weights
-
-
 def build_gh_rule(order: int) -> GHRule:
     """Build the Gauss-Hermite rule of the given order.
 
-    Deterministic: the same order always yields a bit-identical rule.
-    Orders above MAX_ORDER are rejected; their smallest weights underflow
-    to irrelevance at double precision.
+    ``numpy.polynomial.hermite.hermgauss`` takes the nodes as eigenvalues of
+    the symmetric Jacobi matrix (Golub & Welsch, 1969), polishes them with
+    one Newton step and symmetrizes nodes and weights. Deterministic: the
+    same order always yields a bit-identical rule. Orders above MAX_ORDER
+    are rejected; their smallest weights underflow to irrelevance at double
+    precision.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_ORDER:
         raise ValueError(f"order must be <= {MAX_ORDER}, got {order}")
-
-    half_nodes, half_weights = _hermite_newton(order)
-
-    # half arrays hold the largest roots first; mirror into ascending order.
-    nodes = np.empty(order)
-    weights = np.empty(order)
-    n_half = (order + 1) // 2
-    for i in range(n_half):
-        nodes[order - 1 - i] = half_nodes[i]
-        nodes[i] = -half_nodes[i]
-        weights[order - 1 - i] = half_weights[i]
-        weights[i] = half_weights[i]
-    if order % 2 == 1:
-        nodes[n_half - 1] = 0.0
-
+    nodes, weights = hermgauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GHRule(order=order, nodes=nodes, weights=weights)

@@ -147,7 +147,12 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         bad = int(np.argmax(~np.isfinite(values.ravel())))
         raise EvaluationError(points.reshape(d * rule.order, d)[bad])
-    derivs = values @ (rule.weights * _SQRT2 * rule.nodes) / (_SQRT_PI * sigma)
+    # einsum, not values @ coefficients: BLAS rounds a row of a
+    # matrix-vector product differently depending on how many rows it is
+    # given, and a direction's derivative should not depend on the others.
+    derivs = np.einsum("km,m->k", values, rule.weights * rule.nodes) * (
+        _SQRT2 / (_SQRT_PI * sigma)
+    )
     return config.basis.columns @ derivs
 
 
