@@ -38,7 +38,6 @@ from .smoothing import (
     random_orthonormal_basis,
 )
 from .theory import (
-    BoundReport,
     ConvexityConstants,
     bandlimited_noise_grad_bound,
     contraction_rate,
@@ -55,7 +54,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandlimitedNoise", "BoundReport", "ConfigError", "ConvexityConstants",
+    "BandlimitedNoise", "ConfigError", "ConvexityConstants",
     "DGSConfig", "DiminishingNoise", "DirectionBasis", "EvaluationError",
     "ExperimentConfig", "GHRule", "Objective", "OutputError", "PeriodicNoise",
     "RunConfig", "SigmaSchedule", "SweepSummary", "TrialRecord",

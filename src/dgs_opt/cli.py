@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .harness import (
     OutputError,
     SweepSummary,
     load_config,
+    mean_traces,
     parse_config,
     run_experiment,
 )
@@ -125,35 +125,23 @@ def _traces_from_csvs(directory: Path, n_grid: int):
     cos_traces: list = []
     for g in range(n_grid):
         path = directory / f"trace_grid{g:02d}.csv"
-        if not path.exists():
-            dist_traces.append(None)
-            cos_traces.append(None)
-            continue
         per_trial_dist: dict[int, list[float]] = {}
         per_trial_cos: dict[int, list[float]] = {}
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                t = int(row["trial"])
-                per_trial_dist.setdefault(t, []).append(float(row["dist"]))
-                per_trial_cos.setdefault(t, []).append(float(row["cosine_sim"]))
-        if not per_trial_dist:
-            dist_traces.append(None)
-            cos_traces.append(None)
-            continue
-        length = max(len(v) for v in per_trial_dist.values())
-
-        def pad(v, fill_last=True):
-            arr = np.array(v, dtype=float)
-            if len(arr) < length:
-                arr = np.concatenate([arr, np.full(length - len(arr), arr[-1])])
-            return arr
-
-        dist_traces.append(np.mean([pad(v) for v in per_trial_dist.values()], axis=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cos_traces.append(
-                np.nanmean([pad(v) for v in per_trial_cos.values()], axis=0)
+        if path.exists():
+            with open(path) as fh:
+                for row in csv.DictReader(fh):
+                    t = int(row["trial"])
+                    per_trial_dist.setdefault(t, []).append(float(row["dist"]))
+                    per_trial_cos.setdefault(t, []).append(float(row["cosine_sim"]))
+        dist = cos = None
+        if per_trial_dist:
+            dist, cos = mean_traces(
+                per_trial_dist.values(),
+                per_trial_cos.values(),
+                max(len(v) for v in per_trial_dist.values()),
             )
+        dist_traces.append(dist)
+        cos_traces.append(cos)
     return dist_traces, cos_traces
 
 
@@ -179,10 +167,9 @@ def _cmd_bounds(args) -> int:
         delta = theory.delta_sigma_periodic(
             constants, args.gamma, args.alpha, args.sigma, args.d, args.order
         )
-        report = theory.BoundReport(bound, delta, sigma_rec, branch)
-        print(f"noise_gradient_bound = {report.noise_gradient_bound:.10g}")
-        print(f"delta_sigma          = {report.delta_sigma:.10g}")
-        print(f"recommended_sigma    = {report.recommended_sigma:.10g} ({report.branch})")
+        print(f"noise_gradient_bound = {bound:.10g}")
+        print(f"delta_sigma          = {delta:.10g}")
+        print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
     elif args.model == "bandlimited":
         bound = theory.bandlimited_noise_grad_bound(
             args.gamma, args.alpha, args.sigma, args.d

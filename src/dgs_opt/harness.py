@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -260,8 +260,8 @@ def build_noise(config: ExperimentConfig):
 def build_objective(config: ExperimentConfig):
     noise = build_noise(config)
     if config.objective_kind == "power-sum-sqrt":
-        return noise_mod.power_sum_sqrt_objective(config.dimension, noise, config.box)
-    return noise_mod.quadratic_objective(config.dimension, noise, config.box)
+        return noise_mod.power_sum_sqrt_objective(config.dimension, noise)
+    return noise_mod.quadratic_objective(config.dimension, noise)
 
 
 def _build_schedule(config: ExperimentConfig, sigma0: float) -> SigmaSchedule:
@@ -320,10 +320,26 @@ class SweepSummary:
         return int(self.trials_ok[g]) > 0
 
 
-def _pad_trace(trace: np.ndarray, length: int) -> np.ndarray:
-    if len(trace) >= length:
-        return trace[:length]
-    return np.concatenate([trace, np.full(length - len(trace), trace[-1])])
+def mean_traces(dists, cosines, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean distance trace and NaN-skipping mean cosine trace over trials.
+
+    Each trial's trace is cut or padded with its last value to ``length``
+    rows first, so trials that stopped early hold their final value.
+    """
+
+    def pad(trace):
+        trace = np.asarray(trace, dtype=float)
+        if len(trace) >= length:
+            return trace[:length]
+        return np.concatenate([trace, np.full(length - len(trace), trace[-1])])
+
+    with warnings.catch_warnings():
+        # the final row is NaN in every trial; the all-NaN mean is fine
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return (
+            np.mean([pad(t) for t in dists], axis=0),
+            np.nanmean([pad(t) for t in cosines], axis=0),
+        )
 
 
 def _fmt(x: float) -> str:
@@ -388,7 +404,6 @@ def run_experiment(
         for g, t in tasks:
             results[(g, t)] = run_trial(config, g, t)
 
-    length = config.max_iterations + 1
     mean_final = np.full(n_grid, np.nan)
     std_final = np.full(n_grid, np.nan)
     mean_obj = np.full(n_grid, np.nan)
@@ -419,17 +434,13 @@ def run_experiment(
         mean_final[g] = finals.mean()
         std_final[g] = finals.std()
         mean_obj[g] = np.mean([rec.objective_values[-1] for rec in ok])
-        dist_traces.append(
-            np.mean([_pad_trace(rec.distances, length) for rec in ok], axis=0)
+        dist, cos = mean_traces(
+            [rec.distances for rec in ok],
+            [rec.cosine_similarities for rec in ok],
+            config.max_iterations + 1,
         )
-        with warnings.catch_warnings():
-            # the final row is NaN in every trial; the all-NaN mean is fine
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cos_traces.append(
-                np.nanmean(
-                    [_pad_trace(rec.cosine_similarities, length) for rec in ok], axis=0
-                )
-            )
+        dist_traces.append(dist)
+        cos_traces.append(cos)
 
     summary = SweepSummary(
         sigmas=config.sigma_values,

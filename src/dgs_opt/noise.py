@@ -7,7 +7,7 @@ minimizer. Each evaluates in closed form and supports batched points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,10 +40,6 @@ class PeriodicNoise:
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.sin(_TWO_PI * self.alpha * x).sum(axis=-1)
-
-
-def eval_periodic(noise: PeriodicNoise, x: np.ndarray) -> float:
-    return float(noise.evaluate(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,6 @@ class DiminishingNoise:
         )
 
 
-def eval_diminishing(noise: DiminishingNoise, x: np.ndarray) -> float:
-    return float(noise.evaluate(np.asarray(x, dtype=float)))
-
-
 def closed_form_smoothed_sine_derivative(
     alpha: float, sigma: float, phase_point: float
 ) -> float:
@@ -148,9 +140,7 @@ def _attach_noise(phi, noise):
     return evaluate
 
 
-def power_sum_sqrt_objective(
-    d: int = 5, noise=None, box: tuple[float, float] = (-20.0, 20.0)
-) -> Objective:
+def power_sum_sqrt_objective(d: int = 5, noise=None) -> Objective:
     """phi(x) = (sum_i |x_i|^(2+i))^(1/2), unique minimum 0 at the origin."""
     powers = np.arange(1, d + 1) + 2.0
 
@@ -170,13 +160,10 @@ def power_sum_sqrt_objective(
         evaluate=_attach_noise(phi, noise),
         true_gradient=grad,
         minimizer=np.zeros(d),
-        vectorized=True,
     )
 
 
-def quadratic_objective(
-    d: int = 5, noise=None, box: tuple[float, float] = (-5.0, 5.0)
-) -> Objective:
+def quadratic_objective(d: int = 5, noise=None) -> Objective:
     """phi(x) = sum_i x_i^2; gradient 2x, minimum at the origin."""
 
     def phi(x):
@@ -191,16 +178,9 @@ def quadratic_objective(
         evaluate=_attach_noise(phi, noise),
         true_gradient=grad,
         minimizer=np.zeros(d),
-        vectorized=True,
     )
 
 
 def noise_only_objective(d: int, noise) -> Objective:
     """Objective whose smooth part is 0; isolates the DGS gradient of the noise."""
-    return Objective(
-        dimension=d,
-        evaluate=lambda x: noise.evaluate(x),
-        true_gradient=None,
-        minimizer=None,
-        vectorized=True,
-    )
+    return Objective(dimension=d, evaluate=noise.evaluate)

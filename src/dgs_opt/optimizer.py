@@ -3,7 +3,7 @@ scheduled smoothing radius and full per-iteration trajectory records."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np

@@ -24,10 +24,8 @@ class GHRule:
     weights: np.ndarray
 
     def integrate(self, integrand) -> float:
-        """Weighted sum over the nodes; accepts a callable or an array of
-        integrand values already evaluated at the nodes."""
-        values = integrand(self.nodes) if callable(integrand) else integrand
-        return float(np.dot(self.weights, values))
+        """Weighted sum of a callable integrand over the nodes."""
+        return float(np.dot(self.weights, integrand(self.nodes)))
 
 
 def build_gh_rule(order: int) -> GHRule:

@@ -7,7 +7,7 @@ the globally-smoothed gradient is kept as the baseline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,24 +30,25 @@ class EvaluationError(RuntimeError):
 class Objective:
     """A noisy observable F(x) = phi(x) + eps(x).
 
-    ``evaluate`` must be a pure, deterministic map from a point to a real
-    number and safe for concurrent calls. If ``vectorized`` is set, it also
-    accepts an (n, d) array of points and returns n values; the estimators
-    batch their node evaluations through this path. ``true_gradient`` and
-    ``minimizer`` are available only for synthetic objectives.
+    ``evaluate`` must be a pure, deterministic map that takes an (n, d) array
+    of points and returns n values (a single (d,) point gives one value),
+    and be safe for concurrent calls; the estimators batch their node
+    evaluations through it. ``true_gradient`` and ``minimizer`` are available
+    only for synthetic objectives.
     """
 
     dimension: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     true_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     minimizer: Optional[np.ndarray] = None
-    vectorized: bool = False
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of an (n, d) array, in row order."""
-        if self.vectorized:
-            return np.asarray(self.evaluate(points), dtype=float)
-        return np.array([float(self.evaluate(p)) for p in points])
+        """Evaluate at every row of an (n, d) array, in row order; raises
+        EvaluationError at the first row whose value is not finite."""
+        values = np.asarray(self.evaluate(points), dtype=float)
+        if not np.isfinite(values).all():
+            raise EvaluationError(points[int(np.argmax(~np.isfinite(values)))])
+        return values
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,31 @@ class DGSConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
+def _gh_derivatives(
+    f: Objective,
+    x: np.ndarray,
+    directions: np.ndarray,
+    sigma: float,
+    rule: GHRule,
+) -> np.ndarray:
+    """Smoothed directional derivatives at x along each row xi of
+    ``directions``: (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma
+    v_m xi) * sqrt(2) v_m, from len(directions) * rule.order evaluations."""
+    k, d = directions.shape
+    # points[i, m] = x + sqrt(2) sigma v_m xi_i
+    points = (
+        x[None, None, :]
+        + _SQRT2 * sigma * rule.nodes[None, :, None] * directions[:, None, :]
+    )
+    values = f.eval_batch(points.reshape(k * rule.order, d)).reshape(k, rule.order)
+    # einsum, not values @ coefficients: BLAS rounds a row of a
+    # matrix-vector product differently depending on how many rows it is
+    # given, and a direction's derivative should not depend on the others.
+    return np.einsum("km,m->k", values, rule.weights * rule.nodes) * (
+        _SQRT2 / (_SQRT_PI * sigma)
+    )
+
+
 def directional_derivative_gh(
     f: Objective,
     x: np.ndarray,
@@ -105,23 +131,15 @@ def directional_derivative_gh(
     sigma: float,
     rule: GHRule,
 ) -> float:
-    """Gauss-Hermite estimate of the smoothed directional derivative at x.
-
-    Computes (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma v_m xi)
-    * sqrt(2) v_m, using exactly ``rule.order`` objective evaluations.
-    """
+    """Gauss-Hermite estimate of the smoothed directional derivative at x
+    along the unit vector xi, from exactly ``rule.order`` evaluations."""
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector (1e-10 tolerance)")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
-    points = x[None, :] + _SQRT2 * sigma * rule.nodes[:, None] * xi[None, :]
-    values = f.eval_batch(points)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
-        raise EvaluationError(points[bad])
-    return float(np.dot(rule.weights * values, _SQRT2 * rule.nodes) / (_SQRT_PI * sigma))
+    return float(_gh_derivatives(f, x, xi[None, :], sigma, rule)[0])
 
 
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
@@ -135,24 +153,8 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     d = config.basis.dimension
     if x.shape != (d,):
         raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-    rule = config.rule
-    sigma = config.sigma
-    # points[i, m] = x + sqrt(2) sigma v_m xi_i
-    directions = config.basis.columns.T  # rows are xi_i
-    points = (
-        x[None, None, :]
-        + _SQRT2 * sigma * rule.nodes[None, :, None] * directions[:, None, :]
-    )
-    values = f.eval_batch(points.reshape(d * rule.order, d)).reshape(d, rule.order)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values.ravel())))
-        raise EvaluationError(points.reshape(d * rule.order, d)[bad])
-    # einsum, not values @ coefficients: BLAS rounds a row of a
-    # matrix-vector product differently depending on how many rows it is
-    # given, and a direction's derivative should not depend on the others.
-    derivs = np.einsum("km,m->k", values, rule.weights * rule.nodes) * (
-        _SQRT2 / (_SQRT_PI * sigma)
-    )
+    # rows of the transposed basis are the directions xi_i
+    derivs = _gh_derivatives(f, x, config.basis.columns.T, config.sigma, config.rule)
     return config.basis.columns @ derivs
 
 
@@ -177,7 +179,4 @@ def gs_gradient_mc(
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((samples, x.shape[0]))
     values = f.eval_batch(x[None, :] + sigma * u)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
-        raise EvaluationError(x + sigma * u[bad])
     return (values @ u) / (samples * sigma)

@@ -21,16 +21,6 @@ class ConvexityConstants:
             raise ValueError(f"tau ({self.tau}) cannot exceed L ({self.L})")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound values for one noise model at one configuration."""
-
-    noise_gradient_bound: float
-    delta_sigma: float
-    recommended_sigma: float
-    branch: str
-
-
 def periodic_noise_grad_bound(
     gamma_n: float, n: int, alpha: float, sigma: float, d: int
 ) -> float:

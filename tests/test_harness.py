@@ -16,7 +16,7 @@ from dgs_opt import (
     run_experiment,
     run_trial,
 )
-from dgs_opt.cli import main as cli_main
+from dgs_opt.cli import _summary_from_csv, main as cli_main
 from dgs_opt.harness import SUMMARY_HEADER, TRACE_HEADER, SweepSummary
 
 
@@ -207,6 +207,18 @@ class TestCli:
         )
         assert code == 0
         ET.parse(svg)
+
+    def test_plot_reads_back_the_in_memory_traces(self, tmp_path):
+        # no trial stops early here, so the in-memory traces (length
+        # max_iterations + 1) and the CSV ones (longest trial) agree in length
+        summary = run_experiment(parse_config(base_doc()), out_dir=tmp_path)
+        assert all(int(ok) == summary.trials for ok in summary.trials_ok)
+        read = _summary_from_csv(tmp_path / "summary.csv")
+        for got, want in zip(read.mean_dist_traces, summary.mean_dist_traces):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(read.mean_cosine_traces, summary.mean_cosine_traces):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(read.mean_final_dist, summary.mean_final_dist)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

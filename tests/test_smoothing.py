@@ -10,7 +10,9 @@ from dgs_opt import (
     dgs_gradient,
     directional_derivative_gh,
     gs_gradient_mc,
+    PeriodicNoise,
     identity_basis,
+    power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
 )
@@ -24,7 +26,7 @@ def counting_objective(d, fn):
         counter["n"] += len(x)
         return fn(np.asarray(x, dtype=float))
 
-    return Objective(dimension=d, evaluate=evaluate, vectorized=True), counter
+    return Objective(dimension=d, evaluate=evaluate), counter
 
 
 class TestBases:
@@ -57,7 +59,6 @@ class TestDirectionalDerivative:
         f = Objective(
             dimension=3,
             evaluate=lambda x: np.asarray(x, dtype=float) @ np.array([2.0, -1.0, 0.5]),
-            vectorized=True,
         )
         xi = np.array([0.0, 1.0, 0.0])
         got = directional_derivative_gh(f, np.zeros(3), xi, sigma=0.7, rule=build_gh_rule(2))
@@ -81,7 +82,6 @@ class TestDirectionalDerivative:
         f = Objective(
             dimension=1,
             evaluate=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, np.inf, 0.0),
-            vectorized=True,
         )
         with pytest.raises(EvaluationError) as err:
             directional_derivative_gh(
@@ -112,6 +112,15 @@ class TestDGSGradient:
             f, np.zeros(4), DGSConfig(sigma=0.5, rule=build_gh_rule(6), basis=identity_basis(4))
         )
         assert counter["n"] == 6 * 4
+
+    @pytest.mark.parametrize("d, order", [(1, 5), (4, 7), (5, 5), (5, 40), (9, 64)])
+    def test_identity_basis_matches_directional_derivatives_bitwise(self, d, order):
+        f = power_sum_sqrt_objective(d, noise=PeriodicNoise(alpha=1.0))
+        x = np.random.default_rng(d).uniform(-3.0, 3.0, d)
+        rule = build_gh_rule(order)
+        got = dgs_gradient(f, x, DGSConfig(sigma=0.4, rule=rule, basis=identity_basis(d)))
+        want = [directional_derivative_gh(f, x, e, 0.4, rule) for e in np.eye(d)]
+        np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
         f = quadratic_objective(3)
