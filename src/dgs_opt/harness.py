@@ -36,16 +36,72 @@ class OutputError(OSError):
     """Result files could not be written."""
 
 
-def _require(mapping: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _field(mapping: dict, key: str, where: str, convert=lambda v: v, default=_REQUIRED):
+    """``convert(mapping[key])``, or ``default`` when the key is absent. A
+    missing required field, or a value ``convert`` rejects, is a
+    ConfigError that names the field."""
     if key not in mapping:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return mapping[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {key!r} in {where}")
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value for {key!r} in {where}: {e}") from e
+
+
+def _json(kind: type):
+    """Converter that passes values of one JSON type through unchanged."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be a {kind.__name__}, got {type(value).__name__}")
+        return value
+    return check
+
+
+def _box(value) -> tuple[float, float]:
+    lo, hi = (float(v) for v in value)
+    if not lo < hi:
+        raise ValueError("must be [lo, hi] with lo < hi")
+    return lo, hi
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+# Per section kind: field -> (converter, default or _REQUIRED).
+_OBJECTIVE_FIELDS = {"dimension": (int, 5), "box": (_box, _REQUIRED)}
+_OBJECTIVE_KINDS = {"power-sum-sqrt": _OBJECTIVE_FIELDS, "quadratic": _OBJECTIVE_FIELDS}
+_NOISE_KINDS = {
+    "periodic": {"alpha": (float, _REQUIRED), "amplitude": (float, 1.0)},
+    "bandlimited": {"alpha0": (float, _REQUIRED), "num_components": (int, 20)},
+    "diminishing": {"beta": (float, 1.0), "carrier_frequency": (float, 1.0)},
+    "none": {},
+}
+_SCHEDULE_KINDS = {
+    "constant": {},
+    "two-phase-decay": {"switch_iteration": (int, 5000), "contraction": (float, 0.999)},
+    "theorem3": {key: (float, _REQUIRED) for key in ("beta", "L", "tau", "r0_tilde")},
+}
+
+
+def _section(doc: dict, name: str, kinds: dict, where: str) -> tuple[str, dict]:
+    """(kind, converted fields) of the config section ``name``."""
+    section = _field(doc, name, where, _json(dict))
+    kind = _field(section, "kind", name)
+    if kind not in tuple(kinds):  # a tuple compares a list kind instead of hashing it
+        raise ConfigError(f"{name}.kind must be one of {'/'.join(kinds)}, got {kind!r}")
+    _reject_unknown(section, {"kind", *kinds[kind]}, name)
+    return kind, {
+        key: _field(section, key, name, convert, default)
+        for key, (convert, default) in kinds[kind].items()
+    }
 
 
 @dataclass(frozen=True)
@@ -84,6 +140,9 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
+    """Validate a config document. Every bad value ends in a ConfigError:
+    types are converted field by field, and the noise, schedule and
+    quadrature constructors the sweep will call check their own ranges."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
     _reject_unknown(
@@ -95,97 +154,43 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
         },
         where,
     )
-    experiment = _require(doc, "experiment", where)
+    experiment = _field(doc, "experiment", where)
     if experiment not in EXPERIMENT_IDS:
         raise ConfigError(f"experiment must be one of {EXPERIMENT_IDS}, got {experiment!r}")
 
-    obj = _require(doc, "objective", where)
-    _reject_unknown(obj, {"kind", "dimension", "box"}, "objective")
-    obj_kind = _require(obj, "kind", "objective")
-    if obj_kind not in ("power-sum-sqrt", "quadratic"):
-        raise ConfigError(f"objective.kind must be power-sum-sqrt or quadratic, got {obj_kind!r}")
-    dimension = int(obj.get("dimension", 5))
-    if dimension < 1:
+    obj_kind, obj = _section(doc, "objective", _OBJECTIVE_KINDS, where)
+    if obj["dimension"] < 1:
         raise ConfigError("objective.dimension must be >= 1")
-    box = _require(obj, "box", "objective")
-    if not (isinstance(box, (list, tuple)) and len(box) == 2 and box[0] < box[1]):
-        raise ConfigError("objective.box must be [lo, hi] with lo < hi")
+    noise_kind, params = _section(doc, "noise", _NOISE_KINDS, where)
 
-    noi = _require(doc, "noise", where)
-    noise_kind = _require(noi, "kind", "noise")
-    if noise_kind == "periodic":
-        _reject_unknown(noi, {"kind", "alpha", "amplitude"}, "noise")
-        params = {"alpha": float(_require(noi, "alpha", "noise")),
-                  "amplitude": float(noi.get("amplitude", 1.0))}
-        if params["alpha"] <= 0:
-            raise ConfigError("noise.alpha must be positive")
-    elif noise_kind == "bandlimited":
-        _reject_unknown(noi, {"kind", "alpha0", "num_components"}, "noise")
-        params = {"alpha0": float(_require(noi, "alpha0", "noise")),
-                  "num_components": int(noi.get("num_components", 20))}
-        if params["alpha0"] <= 0:
-            raise ConfigError("noise.alpha0 must be positive")
-    elif noise_kind == "diminishing":
-        _reject_unknown(noi, {"kind", "beta", "carrier_frequency"}, "noise")
-        params = {"beta": float(noi.get("beta", 1.0)),
-                  "carrier_frequency": float(noi.get("carrier_frequency", 1.0))}
-    elif noise_kind == "none":
-        _reject_unknown(noi, {"kind"}, "noise")
-        params = {}
-    else:
-        raise ConfigError(f"noise.kind must be periodic/bandlimited/diminishing/none, got {noise_kind!r}")
-
-    if "step_size" not in doc:
-        raise ConfigError("missing required field 'step_size' in config")
-    step_size = float(doc["step_size"])
-    if step_size <= 0:
+    step_size = _field(doc, "step_size", where, float)
+    if not step_size > 0:
         raise ConfigError("step_size must be positive")
 
-    grid = tuple(float(s) for s in _require(doc, "sigma_grid", where))
-    if not grid or any(s <= 0 for s in grid):
+    grid = _field(doc, "sigma_grid", where, lambda v: tuple(float(s) for s in v))
+    if not grid or not all(s > 0 for s in grid):
         raise ConfigError("sigma_grid values must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sigma_grid must be strictly increasing")
 
-    trials = int(_require(doc, "trials", where))
+    trials = _field(doc, "trials", where, int)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    max_iterations = int(_require(doc, "max_iterations", where))
+    max_iterations = _field(doc, "max_iterations", where, int)
     if max_iterations < 1:
         raise ConfigError("max_iterations must be >= 1")
 
-    sched = _require(doc, "schedule", where)
-    sched_kind = _require(sched, "kind", "schedule")
-    if sched_kind == "constant":
-        _reject_unknown(sched, {"kind"}, "schedule")
-        sched_params = {}
-    elif sched_kind == "two-phase-decay":
-        _reject_unknown(sched, {"kind", "switch_iteration", "contraction"}, "schedule")
-        sched_params = {
-            "switch_iteration": int(sched.get("switch_iteration", 5000)),
-            "contraction": float(sched.get("contraction", 0.999)),
-        }
-    elif sched_kind == "theorem3":
-        _reject_unknown(sched, {"kind", "beta", "L", "tau", "r0_tilde"}, "schedule")
-        sched_params = {
-            "beta": float(_require(sched, "beta", "schedule")),
-            "L": float(_require(sched, "L", "schedule")),
-            "tau": float(_require(sched, "tau", "schedule")),
-            "r0_tilde": float(_require(sched, "r0_tilde", "schedule")),
-        }
-    else:
-        raise ConfigError(f"schedule.kind must be constant/two-phase-decay/theorem3, got {sched_kind!r}")
+    sched_kind, sched_params = _section(doc, "schedule", _SCHEDULE_KINDS, where)
 
-    order = int(doc.get("quadrature_order", 5))
     basis = doc.get("basis", "identity")
     if basis not in ("identity", "random"):
         raise ConfigError(f"basis must be 'identity' or 'random', got {basis!r}")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         experiment=experiment,
         objective_kind=obj_kind,
-        dimension=dimension,
-        box=(float(box[0]), float(box[1])),
+        dimension=obj["dimension"],
+        box=obj["box"],
         noise_kind=noise_kind,
         noise_params=params,
         step_size=step_size,
@@ -194,11 +199,19 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
         max_iterations=max_iterations,
         schedule_kind=sched_kind,
         schedule_params=sched_params,
-        quadrature_order=order,
+        quadrature_order=_field(
+            doc, "quadrature_order", where, lambda v: build_gh_rule(int(v)).order, 5
+        ),
         basis=basis,
-        master_seed=int(_require(doc, "master_seed", where)),
-        output_dir=doc.get("output_dir"),
+        master_seed=_field(doc, "master_seed", where, int),
+        output_dir=_field(doc, "output_dir", where, _json(str), None),
     )
+    try:
+        build_noise(config)
+        _build_schedule(config, config.sigma_values[0])
+    except ValueError as e:
+        raise ConfigError(f"bad noise or schedule in {where}: {e}") from e
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -243,17 +256,10 @@ def build_noise(config: ExperimentConfig):
     if config.noise_kind == "periodic":
         return noise_mod.PeriodicNoise(**config.noise_params)
     if config.noise_kind == "bandlimited":
-        return noise_mod.sample_bandlimited(
-            d=config.dimension,
-            alpha0=config.noise_params["alpha0"],
-            num_components=config.noise_params["num_components"],
-            seed=mix_seed(config.master_seed, _NOISE_SEED_TAG),
-        )
+        seed = mix_seed(config.master_seed, _NOISE_SEED_TAG)
+        return noise_mod.sample_bandlimited(config.dimension, seed=seed, **config.noise_params)
     if config.noise_kind == "diminishing":
-        return noise_mod.DiminishingNoise(
-            beta=config.noise_params["beta"],
-            carrier_frequency=config.noise_params["carrier_frequency"],
-        )
+        return noise_mod.DiminishingNoise(**config.noise_params)
     return None
 
 
@@ -312,7 +318,7 @@ class SweepSummary:
     trials_ok: np.ndarray
     mean_dist_traces: list  # per grid point: (max_iterations + 1,) or None
     mean_cosine_traces: list
-    evaluation_counts: np.ndarray  # summed over ok trials
+    evaluation_counts: np.ndarray  # summed over all trials
     trials: int
     max_iterations: int
 

@@ -106,6 +106,10 @@ class DiminishingNoise:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        if not self.carrier_frequency > 0:
+            raise ValueError(
+                f"carrier_frequency must be positive, got {self.carrier_frequency}"
+            )
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)

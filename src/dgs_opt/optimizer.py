@@ -52,6 +52,10 @@ class SigmaSchedule:
             raise ValueError(f"contraction must be in (0,1), got {self.contraction}")
         if self.switch_iteration < 0:
             raise ValueError("switch_iteration must be nonnegative")
+        if self.kind == "theorem3":
+            ConvexityConstants(L=self.L, tau=self.tau)  # raises unless 0 < tau <= L
+            if not self.beta > 0:
+                raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 def sigma_at(schedule: SigmaSchedule, t: int) -> float:

@@ -88,16 +88,19 @@ def recommend_sigma_periodic(
 ) -> tuple[float, str]:
     """Smoothing radius minimizing the periodic-noise convergence radius.
 
-    High-frequency branch when alpha > 2 L sqrt(2) / (pi gamma1), otherwise
-    sigma = 1/alpha.
+    The minimizer of 48 L^2 d sigma^2 + (96/pi^2) gamma1^2 d exp(-4 pi^2
+    alpha^2 sigma^2), the sigma-dependent terms of delta_sigma_periodic
+    without the quadrature term and the 1/sigma^2 correction: sigma =
+    sqrt(ln(2 sqrt(2) alpha gamma1 / L)) / (sqrt(2) pi alpha) when alpha >
+    L / (2 sqrt(2) gamma1) (high-frequency branch), otherwise 1/alpha.
     """
     if not (gamma1 > 0 and alpha > 0):
         raise ValueError("gamma1 and alpha must be positive")
-    threshold = 2.0 * constants.L * math.sqrt(2.0) / (math.pi * gamma1)
+    threshold = constants.L / (2.0 * math.sqrt(2.0) * gamma1)
     if alpha > threshold:
-        arg = math.pi * alpha * gamma1 / (2.0 * constants.L * math.sqrt(2.0))
+        arg = 2.0 * math.sqrt(2.0) * alpha * gamma1 / constants.L
         assert arg > 1.0  # implied by the branch condition
-        sigma = math.sqrt(math.log(arg)) / (math.pi * alpha * math.sqrt(2.0))
+        sigma = math.sqrt(math.log(arg)) / (math.sqrt(2.0) * math.pi * alpha)
         return sigma, "high-frequency"
     return 1.0 / alpha, "low-frequency"
 
@@ -150,17 +153,18 @@ def delta_sigma_periodic(
 ) -> float:
     """Squared radius of the neighborhood of convergence under periodic noise.
 
-    The constant C in the quadrature term is not determined by theory and
-    defaults to 1; use this function for shape comparisons, not absolute
-    thresholds.
+    The noise term is 3 B^2, B = periodic_noise_grad_bound(gamma1, 1, ...),
+    bounded with (1 + x)^2 <= 2 (1 + x^2). The constant C in the quadrature
+    term is not determined by theory and defaults to 1; use this function
+    for shape comparisons, not absolute thresholds.
     """
     L, tau = constants.L, constants.tau
     lead = 4.0 / tau**2 + 1.0 / (4.0 * L * tau)
     noise = (
-        3.0
+        96.0
+        / math.pi**2
         * gamma1**2
         * d
-        / 2.0
         * math.exp(-4.0 * math.pi**2 * alpha**2 * sigma**2)
         * (1.0 + 1.0 / (8.0 * math.pi * alpha**2 * sigma**2))
     )

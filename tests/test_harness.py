@@ -225,6 +225,44 @@ class TestCli:
         path.write_text("{")
         assert cli_main(["run", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"quadrature_order": 0},
+            {"quadrature_order": 65},
+            {"trials": "abc"},
+            {"noise": {"kind": "diminishing", "beta": -1}},
+            {"schedule": {"kind": "two-phase-decay", "contraction": 1.5}},
+            {"sigma_grid": ["x"]},
+            {"objective": {"kind": "power-sum-sqrt", "dimension": 3, "box": ["a", "b"]}},
+            {"step_size": None},
+            {"master_seed": "x"},
+            {"noise": {"kind": "bandlimited", "alpha0": 1.0, "num_components": 0}},
+            {"schedule": {"kind": "two-phase-decay", "switch_iteration": -1}},
+            {"schedule": {"kind": "theorem3", "beta": 1e-4, "L": 1.0, "tau": 2.0,
+                          "r0_tilde": 1.0}},
+            {"schedule": {"kind": "theorem3", "beta": 0.0, "L": 2.0, "tau": 2.0,
+                          "r0_tilde": 1.0}},
+            {"noise": {"kind": "diminishing", "carrier_frequency": 0}},
+            {"noise": 5},
+            {"output_dir": 5},
+        ],
+        ids=[
+            "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
+            "sigma-grid-x", "box-ab", "step-size-null", "seed-x", "components-0",
+            "switch-negative", "L-below-tau", "theorem3-beta-0", "carrier-0",
+            "noise-not-object", "output-dir-int",
+        ],
+    )
+    def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(**overrides)))
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_all_diverged_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_doc(step_size=50.0, trials=1)))

@@ -97,15 +97,15 @@ class TestNoiseGradientBounds:
 
 class TestRecommendedSigma:
     def test_periodic_low_frequency_branch(self):
-        # threshold for L=2, gamma1=1 is 4*sqrt(2)/pi ~ 1.8006
-        sigma, branch = recommend_sigma_periodic(LT, 1.0, 1.0)
+        # threshold for L=2, gamma1=1 is 2/(2*sqrt(2)) ~ 0.7071
+        sigma, branch = recommend_sigma_periodic(LT, 1.0, 0.5)
         assert branch == "low-frequency"
-        assert sigma == 1.0
+        assert sigma == 2.0
 
     def test_periodic_high_frequency_branch_frozen_value(self):
         sigma, branch = recommend_sigma_periodic(LT, 1.0, 4.0)
         assert branch == "high-frequency"
-        np.testing.assert_allclose(sigma, 0.050271183532006557, rtol=1e-14)
+        np.testing.assert_allclose(sigma, 0.074072648446412726599, rtol=1e-14)
 
     def test_bandlimited_low_frequency_branch(self):
         sigma, branch = recommend_sigma_bandlimited(LT, 1.0, 0.2)
@@ -134,7 +134,7 @@ class TestDiscrepancyAndRates:
     def test_delta_sigma_frozen_value(self):
         np.testing.assert_allclose(
             delta_sigma_periodic(LT, 1.0, 1.0, 0.5, 5, 5),
-            255.00047776789609, rtol=1e-13,
+            255.00309811255925694558, rtol=1e-13,
         )
 
     def test_contraction_rate_reference_point(self):
