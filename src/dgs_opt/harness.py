@@ -20,7 +20,7 @@ import numpy as np
 from . import noise as noise_mod
 from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run
 from .quadrature import build_gh_rule
-from .smoothing import DGSConfig, identity_basis, random_orthonormal_basis
+from .smoothing import identity_basis, random_orthonormal_basis
 
 EXPERIMENT_IDS = ("periodic-sweep", "bandlimited-sweep", "diminishing-two-phase", "custom")
 
@@ -49,7 +49,7 @@ def _field(mapping: dict, key: str, where: str, convert=lambda v: v, default=_RE
         return default
     try:
         return convert(mapping[key])
-    except (TypeError, ValueError) as e:
+    except (OverflowError, TypeError, ValueError) as e:  # int(inf) overflows
         raise ConfigError(f"bad value for {key!r} in {where}: {e}") from e
 
 
@@ -289,15 +289,15 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
     else:
         basis = random_orthonormal_basis(config.dimension, mix_seed(seed, _BASIS_SEED_TAG))
     sigma0 = config.sigma_values[grid_index]
+    lo, hi = config.box
     run_config = RunConfig(
         objective=objective,
-        dgs=DGSConfig(sigma=sigma0, rule=build_gh_rule(config.quadrature_order), basis=basis),
+        rule=build_gh_rule(config.quadrature_order),
+        basis=basis,
         step_size=config.step_size,
         max_iterations=config.max_iterations,
         schedule=_build_schedule(config, sigma0),
-        seed=seed,
-        initial_point="uniform-in-box",
-        box=config.box,
+        initial_point=np.random.default_rng(seed).uniform(lo, hi, size=config.dimension),
     )
     return run(run_config)
 

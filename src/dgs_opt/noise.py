@@ -73,9 +73,10 @@ def sample_bandlimited(
 ) -> BandlimitedNoise:
     """Draw a bandlimited noise whose wavelengths 1/alpha_ij are i.i.d.
     uniform on (0, 1/alpha0]. Wavelengths below MIN_WAVELENGTH are resampled
-    (probability ~ MIN_WAVELENGTH * alpha0 per draw)."""
-    if not alpha0 > 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    (probability ~ MIN_WAVELENGTH * alpha0 per draw, so alpha0 is capped at
+    half of 1 / MIN_WAVELENGTH, beyond which the resampling would not end)."""
+    if not 0 < alpha0 <= 0.5 / MIN_WAVELENGTH:
+        raise ValueError(f"alpha0 must be in (0, {0.5 / MIN_WAVELENGTH:g}], got {alpha0}")
     if num_components < 1:
         raise ValueError(f"num_components must be >= 1, got {num_components}")
     rng = np.random.default_rng(seed)

@@ -2,13 +2,12 @@
 scheduled smoothing radius and full per-iteration trajectory records."""
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
-from .smoothing import DGSConfig, EvaluationError, Objective, dgs_gradient
+from .quadrature import GHRule
+from .smoothing import DGSConfig, DirectionBasis, EvaluationError, Objective, dgs_gradient
 from .theory import ConvexityConstants, diminishing_rate
 
 # Schedules whose radius decays below this stop the run: the estimator would
@@ -90,24 +89,18 @@ def gd_step(
 @dataclass(frozen=True)
 class RunConfig:
     objective: Objective
-    dgs: DGSConfig  # sigma field is superseded by the schedule each step
+    rule: GHRule
+    basis: DirectionBasis
     step_size: float
     max_iterations: int
     schedule: SigmaSchedule
-    seed: int
-    initial_point: Union[str, np.ndarray] = "uniform-in-box"
-    box: Optional[tuple[float, float]] = None
+    initial_point: np.ndarray
 
     def __post_init__(self):
         if not self.step_size > 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if isinstance(self.initial_point, str):
-            if self.initial_point != "uniform-in-box":
-                raise ValueError(f"unknown initial_point {self.initial_point!r}")
-            if self.box is None:
-                raise ValueError("uniform-in-box initialization requires a box")
 
 
 @dataclass
@@ -142,78 +135,58 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run(config: RunConfig) -> TrialRecord:
-    """Iterate the DGS descent scheme, recording every step.
+    """Iterate the DGS descent scheme from the initial point, recording each step.
 
-    Deterministic given the config (the seed fixes the initial point). Stops
-    at max_iterations, when the scheduled radius underflows SIGMA_FLOOR, or
-    with a diverged status when an iterate blows up; the returned record
+    Deterministic given the config. Stops at max_iterations, when the
+    scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
+    an evaluation is not finite or an iterate blows up; the returned record
     always ends at the last finite iterate.
     """
     f = config.objective
     d = f.dimension
-    if isinstance(config.initial_point, str):
-        rng = np.random.default_rng(config.seed)
-        lo, hi = config.box
-        x = rng.uniform(lo, hi, size=d)
-    else:
-        x = np.array(config.initial_point, dtype=float)
-        if x.shape != (d,):
-            raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
+    x = np.array(config.initial_point, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
 
-    minimizer = f.minimizer
-    m_order = config.dgs.rule.order
-
-    iterates = [x.copy()]
-    distances = [
-        float(np.linalg.norm(x - minimizer)) if minimizer is not None else np.nan
-    ]
+    iterates = [x]
     values = [float(f.evaluate(x))]
     cosines: list[float] = []
     sigmas: list[float] = []
-
     status = "ok"
-    steps = 0
-    for t in range(config.max_iterations):
+    for t in range(config.max_iterations + 1):
         sigma = sigma_at(config.schedule, t)
-        if sigma < SIGMA_FLOOR:
+        sigmas.append(sigma)
+        if t == config.max_iterations or sigma < SIGMA_FLOOR:
             break
-        step_cfg = dataclasses.replace(config.dgs, sigma=sigma)
         try:
-            estimate = dgs_gradient(f, x, step_cfg)
+            estimate = dgs_gradient(f, x, DGSConfig(sigma, config.rule, config.basis))
         except EvaluationError:
             status = "diverged"
             break
-        if f.true_gradient is not None:
-            cosines.append(_cosine(estimate, f.true_gradient(x)))
-        else:
-            cosines.append(np.nan)
-        sigmas.append(sigma)
-
         x_next = x - config.step_size * estimate
-        steps += 1
         if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
             status = "diverged"
+            t += 1  # the blown-up step was taken, so it counts
             break
-        x = x_next
-        iterates.append(x.copy())
-        distances.append(
-            float(np.linalg.norm(x - minimizer)) if minimizer is not None else np.nan
+        cosines.append(
+            _cosine(estimate, f.true_gradient(x)) if f.true_gradient is not None else np.nan
         )
+        x = x_next
+        iterates.append(x)
         values.append(float(f.evaluate(x)))
+    cosines.append(np.nan)
 
-    n = len(iterates)
-    cos_arr = np.full(n, np.nan)
-    cos_arr[: min(len(cosines), n - 1)] = cosines[: n - 1]
-    sig_arr = np.empty(n)
-    sig_arr[: min(len(sigmas), n - 1)] = sigmas[: n - 1]
-    sig_arr[n - 1] = sigma_at(config.schedule, n - 1)
+    iterates = np.array(iterates)
+    # NaN without a known minimizer; stacked row dot products give each row
+    # the same bits as np.linalg.norm, which norm(axis=1) and einsum do not
+    o = iterates - (np.nan if f.minimizer is None else f.minimizer)
     return TrialRecord(
-        iterates=np.array(iterates),
-        distances=np.array(distances),
+        iterates=iterates,
+        distances=np.sqrt((o[:, None, :] @ o[:, :, None]).ravel()),
         objective_values=np.array(values),
-        cosine_similarities=cos_arr,
-        sigmas=sig_arr,
-        evaluation_count=steps * m_order * d,
-        iterations_run=steps,
+        cosine_similarities=np.array(cosines),
+        sigmas=np.array(sigmas),
+        evaluation_count=t * config.rule.order * d,
+        iterations_run=t,
         status=status,
     )

@@ -92,7 +92,10 @@ def recommend_sigma_periodic(
     alpha^2 sigma^2), the sigma-dependent terms of delta_sigma_periodic
     without the quadrature term and the 1/sigma^2 correction: sigma =
     sqrt(ln(2 sqrt(2) alpha gamma1 / L)) / (sqrt(2) pi alpha) when alpha >
-    L / (2 sqrt(2) gamma1) (high-frequency branch), otherwise 1/alpha.
+    L / (2 sqrt(2) gamma1) (high-frequency branch). Otherwise the expression
+    increases with sigma (its infimum is at sigma -> 0), and the 1/alpha of
+    the low-frequency branch is a convention, not its argmin; the result
+    jumps at the threshold (1.414 to 5.2e-5 at L = 2, gamma1 = 1).
     """
     if not (gamma1 > 0 and alpha > 0):
         raise ValueError("gamma1 and alpha must be positive")

@@ -1,12 +1,16 @@
+import copy
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgs_opt import (
     ConfigError,
+    ExperimentConfig,
     emit_csv,
     emit_plot,
     load_config,
@@ -88,6 +92,61 @@ class TestConfigParsing:
             load_config(tmp_path / "nope.json")
 
 
+# Valid configs that between them carry every section field of every kind.
+_FUZZ_DOCS = [
+    base_doc(
+        noise={"kind": "periodic", "alpha": 1.0, "amplitude": 1.0},
+        schedule={"kind": "two-phase-decay", "switch_iteration": 10, "contraction": 0.9},
+        output_dir="out",
+    ),
+    base_doc(
+        experiment="bandlimited-sweep",
+        objective={"kind": "quadratic", "dimension": 4, "box": [-2, 2]},
+        noise={"kind": "bandlimited", "alpha0": 1.0, "num_components": 5},
+        schedule={"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0, "r0_tilde": 1.0},
+        basis="random",
+    ),
+    base_doc(noise={"kind": "diminishing", "beta": 0.01, "carrier_frequency": 2.0}),
+]
+_FUZZ_TARGETS = [
+    (i, path)
+    for i, doc in enumerate(_FUZZ_DOCS)
+    for key, value in doc.items()
+    for path in [(key,), *((key, k) for k in (value if isinstance(value, dict) else ()))]
+]
+# Numbers stay within +-1000 (besides NaN and +-inf): parse_config builds the
+# noise, which allocates dimension x num_components values.
+_JSON_SCALARS = (
+    st.none(),
+    st.booleans(),
+    st.integers(-1000, 1000),
+    st.floats(-1000, 1000),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.one_of(
+    *_JSON_SCALARS,
+    st.lists(st.one_of(*_JSON_SCALARS), max_size=3),
+    st.dictionaries(st.text(max_size=8), st.one_of(*_JSON_SCALARS), max_size=3),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
+def test_any_json_field_value_parses_or_is_config_error(target, value):
+    index, path = target
+    doc = copy.deepcopy(_FUZZ_DOCS[index])
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    try:
+        config = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
 class TestSeedMixing:
     def test_deterministic(self):
         assert mix_seed(1, 2, 3) == mix_seed(1, 2, 3)
@@ -104,6 +163,15 @@ def small_summary():
 
 
 class TestRunExperiment:
+    def test_initial_point_drawn_from_trial_seed(self):
+        cfg = parse_config(base_doc())
+        lo, hi = cfg.box
+        for g, t in [(0, 0), (0, 1), (1, 0)]:
+            rng = np.random.default_rng(mix_seed(cfg.master_seed, g, t))
+            np.testing.assert_array_equal(
+                run_trial(cfg, g, t).iterates[0], rng.uniform(lo, hi, cfg.dimension)
+            )
+
     def test_shapes(self, small_summary):
         s = small_summary
         assert s.sigmas == (0.5, 1.0)
@@ -209,16 +277,46 @@ class TestCli:
         ET.parse(svg)
 
     def test_plot_reads_back_the_in_memory_traces(self, tmp_path):
-        # no trial stops early here, so the in-memory traces (length
-        # max_iterations + 1) and the CSV ones (longest trial) agree in length
-        summary = run_experiment(parse_config(base_doc()), out_dir=tmp_path)
-        assert all(int(ok) == summary.trials for ok in summary.trials_ok)
-        read = _summary_from_csv(tmp_path / "summary.csv")
-        for got, want in zip(read.mean_dist_traces, summary.mean_dist_traces):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(read.mean_cosine_traces, summary.mean_cosine_traces):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(read.mean_final_dist, summary.mean_final_dist)
+        # no ok trial stops early here, so the in-memory traces (length
+        # max_iterations + 1) and the CSV ones (longest trial) agree in length;
+        # in the second sweep every trial at sigma = 50 diverges
+        sweeps = [(base_doc(), [2, 2]),
+                  (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0])]
+        for i, (doc, trials_ok) in enumerate(sweeps):
+            out = tmp_path / str(i)
+            summary = run_experiment(parse_config(doc), out_dir=out)
+            assert list(summary.trials_ok) == trials_ok
+            read = _summary_from_csv(out / "summary.csv")
+            pairs = [*zip(read.mean_dist_traces, summary.mean_dist_traces),
+                     *zip(read.mean_cosine_traces, summary.mean_cosine_traces)]
+            for got, want in pairs:
+                assert (got is None) == (want is None)
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(read.mean_final_dist, summary.mean_final_dist)
+
+    @pytest.mark.parametrize("fault", ["summary-sigma", "trace-dist", "trace-no-dist"])
+    def test_plot_malformed_csv_is_one_error_line(self, fault, tmp_path, capsys):
+        run_experiment(parse_config(base_doc()), out_dir=tmp_path)
+        name = "summary.csv" if fault == "summary-sigma" else "trace_grid00.csv"
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        if fault == "summary-sigma":
+            lines[1] = "x" + lines[1][lines[1].index(","):]
+        elif fault == "trace-dist":
+            cells = lines[1].split(",")
+            cells[3] = "abc"
+            lines[1] = ",".join(cells)
+        else:
+            lines = [",".join(c for i, c in enumerate(line.split(",")) if i != 3)
+                     for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        code = cli_main(["plot", str(tmp_path / "summary.csv"), "--kind",
+                         "convergence-curves", "--out", str(tmp_path / "c.svg")])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), captured.err
+        assert str(path) in err[0]
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -246,12 +344,18 @@ class TestCli:
             {"noise": {"kind": "diminishing", "carrier_frequency": 0}},
             {"noise": 5},
             {"output_dir": 5},
+            {"objective": {"kind": "power-sum-sqrt", "dimension": 1e999, "box": [-5, 5]}},
+            {"trials": 1e999},
+            {"max_iterations": 1e999},
+            {"master_seed": 1e999},
+            {"noise": {"kind": "bandlimited", "alpha0": 1e999}},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
             "sigma-grid-x", "box-ab", "step-size-null", "seed-x", "components-0",
             "switch-negative", "L-below-tau", "theorem3-beta-0", "carrier-0",
-            "noise-not-object", "output-dir-int",
+            "noise-not-object", "output-dir-int", "dimension-inf", "trials-inf",
+            "max-iterations-inf", "seed-inf", "alpha0-inf",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):

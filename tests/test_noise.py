@@ -62,6 +62,12 @@ class TestBandlimitedNoise:
         assert np.all(noise.frequencies >= 2.0)
         assert np.all(1.0 / noise.frequencies >= MIN_WAVELENGTH)
 
+    @pytest.mark.parametrize("alpha0", [0.0, 5e5 * 1.001, 1e6, np.inf, np.nan])
+    def test_alpha0_outside_sampling_range_rejected(self, alpha0):
+        # at alpha0 >= 1 / MIN_WAVELENGTH every draw would be resampled forever
+        with pytest.raises(ValueError):
+            sample_bandlimited(2, alpha0, 3, seed=0)
+
     def test_deterministic_in_seed(self):
         a = sample_bandlimited(3, 1.0, 20, seed=5)
         b = sample_bandlimited(3, 1.0, 20, seed=5)

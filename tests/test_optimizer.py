@@ -3,6 +3,7 @@ import pytest
 
 from dgs_opt import (
     DGSConfig,
+    Objective,
     RunConfig,
     SigmaSchedule,
     build_gh_rule,
@@ -15,16 +16,16 @@ from dgs_opt import (
 from dgs_opt.optimizer import SIGMA_FLOOR
 
 
-def make_run_config(objective, sigma0=0.5, schedule=None, **kwargs):
+def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
     d = objective.dimension
     defaults = dict(
         objective=objective,
-        dgs=DGSConfig(sigma=sigma0, rule=build_gh_rule(5), basis=identity_basis(d)),
+        rule=build_gh_rule(5),
+        basis=identity_basis(d),
         step_size=0.01,
         max_iterations=50,
         schedule=schedule or SigmaSchedule(kind="constant", sigma0=sigma0),
-        seed=42,
-        box=(-5.0, 5.0),
+        initial_point=np.random.default_rng(seed).uniform(-5.0, 5.0, size=d),
     )
     defaults.update(kwargs)
     return RunConfig(**defaults)
@@ -130,13 +131,68 @@ class TestRun:
 
     def test_explicit_initial_point(self):
         x0 = np.array([1.0, 2.0, 3.0])
-        rec = run(make_run_config(quadratic_objective(3), initial_point=x0, box=None))
+        rec = run(make_run_config(quadratic_objective(3), initial_point=x0))
         np.testing.assert_array_equal(rec.iterates[0], x0)
 
     def test_initial_point_shape_validated(self):
         with pytest.raises(ValueError):
-            run(make_run_config(quadratic_objective(3), initial_point=np.zeros(2), box=None))
+            run(make_run_config(quadratic_objective(3), initial_point=np.zeros(2)))
 
-    def test_box_required_for_uniform_init(self):
-        with pytest.raises(ValueError):
-            make_run_config(quadratic_objective(3), box=None)
+
+def _concave_capped(d):
+    """-|x|^2, minus infinity outside the cube |x_i| <= 6: descent walks out of
+    the cube until an estimator evaluation lands beyond it."""
+
+    def evaluate(points):
+        p = np.asarray(points, dtype=float)
+        return np.where(np.abs(p).max(axis=-1) > 6.0, -np.inf, -(p**2).sum(axis=-1))
+
+    return Objective(dimension=d, evaluate=evaluate, true_gradient=lambda x: -2.0 * x)
+
+
+_STOPS = {
+    "full-length": dict(objective=quadratic_objective(3), max_iterations=20),
+    "sigma-floor": dict(
+        objective=quadratic_objective(2),
+        sigma0=1e-13,
+        schedule=SigmaSchedule(
+            kind="two-phase-decay", sigma0=1e-13, switch_iteration=0, contraction=0.5
+        ),
+        max_iterations=1000,
+    ),
+    "norm-blowup": dict(objective=quadratic_objective(2), step_size=10.0, max_iterations=200),
+    "nonfinite-eval": dict(
+        objective=_concave_capped(3), initial_point=np.ones(3), step_size=0.1,
+        max_iterations=200,
+    ),
+}
+
+
+@pytest.mark.parametrize("stop", list(_STOPS))
+def test_stop_semantics(stop):
+    cfg = make_run_config(**_STOPS[stop])
+    rec = run(cfg)
+    assert rec.status == ("diverged" if stop in ("norm-blowup", "nonfinite-eval") else "ok")
+    assert 0 < rec.iterations_run <= cfg.max_iterations
+    if stop == "full-length":
+        assert rec.iterations_run == cfg.max_iterations
+    else:
+        assert rec.iterations_run < cfg.max_iterations
+    # a blown-up step is counted but its iterate is not recorded
+    rows = rec.iterations_run + (0 if stop == "norm-blowup" else 1)
+    assert len(rec.iterates) == rows
+    for arr in (rec.distances, rec.objective_values, rec.cosine_similarities, rec.sigmas):
+        assert len(arr) == rows
+    assert list(rec.sigmas) == [sigma_at(cfg.schedule, t) for t in range(rows)]
+    if stop == "sigma-floor":
+        assert rec.sigmas[-1] < SIGMA_FLOOR
+    assert np.isnan(rec.cosine_similarities[-1])
+    d = cfg.objective.dimension
+    assert rec.evaluation_count == rec.iterations_run * cfg.rule.order * d
+    assert np.all(np.isfinite(rec.iterates))
+    minimizer = cfg.objective.minimizer
+    if minimizer is None:
+        assert np.all(np.isnan(rec.distances))
+    else:  # bit for bit, as the per-row norm the trace CSVs were written with
+        want = [np.linalg.norm(x - minimizer) for x in rec.iterates]
+        np.testing.assert_array_equal(rec.distances, want)
