@@ -23,7 +23,8 @@ from .noise import (
     quadratic_objective,
     sample_bandlimited,
 )
-from .optimizer import RunConfig, SigmaSchedule, TrialRecord, gd_step, run, sigma_at
+from .optimizer import (RunConfig, SigmaSchedule, TrialRecord, gd_step, run, sigma_at,
+                        theorem3_schedule)
 from .plotting import emit_plot, render_plot
 from .quadrature import GHRule, build_gh_rule
 from .smoothing import (
@@ -69,4 +70,5 @@ __all__ = [
     "quadratic_objective", "random_orthonormal_basis",
     "recommend_sigma_bandlimited", "recommend_sigma_periodic", "render_plot",
     "run", "run_experiment", "run_trial", "sample_bandlimited", "sigma_at",
+    "theorem3_schedule",
 ]

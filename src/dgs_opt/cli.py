@@ -25,6 +25,7 @@ from .harness import (
     run_experiment,
 )
 from .plotting import PLOT_KINDS, emit_plot
+from .quadrature import MAX_ORDER
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -163,38 +164,43 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    constants = theory.ConvexityConstants(L=args.L, tau=args.tau)
-    if args.model == "periodic":
-        bound = theory.periodic_noise_grad_bound(
-            args.gamma, args.n, args.alpha, args.sigma, args.d
-        )
-        sigma_rec, branch = theory.recommend_sigma_periodic(
-            constants, args.gamma, args.alpha
-        )
-        delta = theory.delta_sigma_periodic(
-            constants, args.gamma, args.alpha, args.sigma, args.d, args.order
-        )
-        print(f"noise_gradient_bound = {bound:.10g}")
-        print(f"delta_sigma          = {delta:.10g}")
-        print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
-    elif args.model == "bandlimited":
-        bound = theory.bandlimited_noise_grad_bound(
-            args.gamma, args.alpha, args.sigma, args.d
-        )
-        sigma_rec, branch = theory.recommend_sigma_bandlimited(
-            constants, args.gamma, args.alpha
-        )
-        print(f"noise_gradient_bound = {bound:.10g}")
-        print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
-    else:  # diminishing
-        bound = theory.diminishing_noise_grad_bound(
-            args.beta, args.sigma, args.dist, args.d
-        )
-        rate = theory.diminishing_rate(constants, args.beta, args.d)
-        ok = theory.diminishing_beta_condition(constants, args.beta, args.d)
-        print(f"noise_gradient_bound = {bound:.10g}")
-        print(f"per_step_rate        = {rate:.10g}")
-        print(f"beta_condition_holds = {ok}")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise ConfigError(f"--order must be in 1..{MAX_ORDER}, got {args.order}")
+    try:
+        constants = theory.ConvexityConstants(L=args.L, tau=args.tau)
+        if args.model == "periodic":
+            bound = theory.periodic_noise_grad_bound(
+                args.gamma, args.n, args.alpha, args.sigma, args.d
+            )
+            sigma_rec, branch = theory.recommend_sigma_periodic(
+                constants, args.gamma, args.alpha
+            )
+            delta = theory.delta_sigma_periodic(
+                constants, args.gamma, args.alpha, args.sigma, args.d, args.order
+            )
+            print(f"noise_gradient_bound = {bound:.10g}")
+            print(f"delta_sigma          = {delta:.10g}")
+            print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
+        elif args.model == "bandlimited":
+            bound = theory.bandlimited_noise_grad_bound(
+                args.gamma, args.alpha, args.sigma, args.d
+            )
+            sigma_rec, branch = theory.recommend_sigma_bandlimited(
+                constants, args.gamma, args.alpha
+            )
+            print(f"noise_gradient_bound = {bound:.10g}")
+            print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
+        else:  # diminishing
+            bound = theory.diminishing_noise_grad_bound(
+                args.beta, args.sigma, args.dist, args.d
+            )
+            rate = theory.diminishing_rate(constants, args.beta, args.d)
+            ok = theory.diminishing_beta_condition(constants, args.beta, args.d)
+            print(f"noise_gradient_bound = {bound:.10g}")
+            print(f"per_step_rate        = {rate:.10g}")
+            print(f"beta_condition_holds = {ok}")
+    except (ArithmeticError, ValueError) as e:  # theory's range checks, overflow
+        raise ConfigError(f"bad bounds arguments: {e}") from e
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run
+from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, theorem3_schedule
 from .quadrature import build_gh_rule
 from .smoothing import identity_basis, random_orthonormal_basis
 
@@ -136,6 +136,8 @@ class ExperimentConfig:
 
     @property
     def sigma_values(self) -> tuple[float, ...]:
+        """Initial radius per grid point. A theorem3 schedule ignores it, so
+        there the grid only labels groups of trials with different seeds."""
         return tuple(m * self.wavelength for m in self.sigma_grid)
 
 
@@ -209,7 +211,7 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     try:
         build_noise(config)
         _build_schedule(config, config.sigma_values[0])
-    except ValueError as e:
+    except (ArithmeticError, ValueError) as e:  # a theorem3 rate can overflow
         raise ConfigError(f"bad noise or schedule in {where}: {e}") from e
     return config
 
@@ -271,13 +273,9 @@ def build_objective(config: ExperimentConfig):
 
 
 def _build_schedule(config: ExperimentConfig, sigma0: float) -> SigmaSchedule:
-    if config.schedule_kind == "constant":
-        return SigmaSchedule(kind="constant", sigma0=sigma0)
-    if config.schedule_kind == "two-phase-decay":
-        return SigmaSchedule(kind="two-phase-decay", sigma0=sigma0, **config.schedule_params)
-    return SigmaSchedule(
-        kind="theorem3", dimension=config.dimension, **config.schedule_params
-    )
+    if config.schedule_kind == "theorem3":
+        return theorem3_schedule(dimension=config.dimension, **config.schedule_params)
+    return SigmaSchedule(sigma0, **config.schedule_params)
 
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialRecord:

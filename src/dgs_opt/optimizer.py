@@ -20,63 +20,46 @@ DIVERGENCE_NORM = 1e12
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """Smoothing radius as a function of the iteration index.
+    """Smoothing radius at iteration t: sigma0 until switch_iteration, then
+    sigma0 * contraction^(t - switch_iteration). The defaults are a constant
+    radius; theorem3_schedule builds Theorem 3's, which decays from t = 0."""
 
-    kinds:
-      constant        -- sigma0 at every step.
-      two-phase-decay -- sigma0 until switch_iteration, then geometric decay
-                         by ``contraction`` per iteration.
-      theorem3        -- the exact-convergence schedule
-                         sqrt(beta) / (8 L^2 pi + 4 beta^2)^(1/4)
-                         * rho^(t/2) * r0_tilde,
-                         with rho the diminishing-noise per-step rate.
-    """
-
-    kind: str
-    sigma0: float = 1.0
-    switch_iteration: int = 5000
-    contraction: float = 0.999
-    beta: float = 1.0
-    L: float = 2.0
-    tau: float = 2.0
-    r0_tilde: float = 1.0
-    dimension: int = 5
+    sigma0: float
+    switch_iteration: int = 0
+    contraction: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "two-phase-decay", "theorem3"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind != "theorem3" and not self.sigma0 > 0:
+        if not self.sigma0 > 0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if not 0.0 < self.contraction < 1.0:
-            raise ValueError(f"contraction must be in (0,1), got {self.contraction}")
+        if not 0.0 < self.contraction <= 1.0:
+            raise ValueError(f"contraction must be in (0,1], got {self.contraction}")
         if self.switch_iteration < 0:
             raise ValueError("switch_iteration must be nonnegative")
-        if self.kind == "theorem3":
-            ConvexityConstants(L=self.L, tau=self.tau)  # raises unless 0 < tau <= L
-            if not self.beta > 0:
-                raise ValueError(f"beta must be positive, got {self.beta}")
+
+
+def theorem3_schedule(beta: float, L: float, tau: float, r0_tilde: float,
+                      dimension: int) -> SigmaSchedule:
+    """Theorem 3's exact-convergence radius sqrt(beta) / (8 L^2 pi +
+    4 beta^2)^(1/4) * rho^(t/2) * r0_tilde, rho = diminishing_rate(...).
+    Raises ValueError unless 0 < tau <= L, beta > 0 and rho < 1 (rho < 1
+    exactly when diminishing_beta_condition holds)."""
+    constants = ConvexityConstants(L=L, tau=tau)  # raises unless 0 < tau <= L
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    rho = diminishing_rate(constants, beta, dimension)
+    if not rho < 1.0:
+        raise ValueError(f"rho = {rho:.6g} >= 1: beta fails diminishing_beta_condition")
+    scale = np.sqrt(beta) / (8.0 * L**2 * np.pi + 4.0 * beta**2) ** 0.25
+    return SigmaSchedule(float(scale * r0_tilde), 0, float(np.sqrt(rho)))
 
 
 def sigma_at(schedule: SigmaSchedule, t: int) -> float:
     """Smoothing radius used at iteration t (t >= 0)."""
     if t < 0:
         raise ValueError(f"iteration index must be nonnegative, got {t}")
-    if schedule.kind == "constant":
+    if t < schedule.switch_iteration:
         return schedule.sigma0
-    if schedule.kind == "two-phase-decay":
-        if t < schedule.switch_iteration:
-            return schedule.sigma0
-        return schedule.sigma0 * schedule.contraction ** (t - schedule.switch_iteration)
-    # theorem3
-    rho = diminishing_rate(
-        ConvexityConstants(L=schedule.L, tau=schedule.tau),
-        schedule.beta,
-        schedule.dimension,
-    )
-    scale = np.sqrt(schedule.beta) / (
-        8.0 * schedule.L**2 * np.pi + 4.0 * schedule.beta**2
-    ) ** 0.25
-    return float(scale * rho ** (t / 2.0) * schedule.r0_tilde)
+    return schedule.sigma0 * schedule.contraction ** (t - schedule.switch_iteration)
 
 
 def gd_step(

@@ -349,13 +349,19 @@ class TestCli:
             {"max_iterations": 1e999},
             {"master_seed": 1e999},
             {"noise": {"kind": "bandlimited", "alpha0": 1e999}},
+            {"schedule": {"kind": "theorem3", "beta": 1e-4, "L": 1e200, "tau": 1e200,
+                          "r0_tilde": 1.0}},
+            {"schedule": {"kind": "theorem3", "beta": 0.01, "L": 2.0, "tau": 2.0,
+                          "r0_tilde": 1.0}},
+            {"schedule": {"kind": "linear"}},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
             "sigma-grid-x", "box-ab", "step-size-null", "seed-x", "components-0",
             "switch-negative", "L-below-tau", "theorem3-beta-0", "carrier-0",
             "noise-not-object", "output-dir-int", "dimension-inf", "trials-inf",
-            "max-iterations-inf", "seed-inf", "alpha0-inf",
+            "max-iterations-inf", "seed-inf", "alpha0-inf", "theorem3-overflow",
+            "theorem3-rho-above-1", "schedule-kind-linear",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):
@@ -394,6 +400,30 @@ class TestCli:
         assert (tmp_path / "a" / "summary.csv").read_text() != (
             tmp_path / "b" / "summary.csv"
         ).read_text()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--sigma", "-1"],
+            ["--n", "0"],
+            ["--model", "bandlimited", "--alpha", "0"],
+            ["--model", "diminishing", "--tau", "3"],
+            ["--model", "diminishing", "--dist", "-1"],
+            ["--order", "600"],
+            ["--order", "0"],
+            ["--L", "1e200", "--tau", "1e200"],
+            ["--model", "diminishing", "--beta", "1e200"],
+            ["--model", "bandlimited", "--sigma", "1e-300"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_bounds_bad_value_is_one_error_line(self, args, capsys):
+        model = [] if "--model" in args else ["--model", "periodic"]
+        assert cli_main(["bounds", *model, *args]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == ""
 
     def test_bounds_prints_values(self, capsys):
         assert cli_main(["bounds", "--model", "periodic", "--alpha", "1", "--sigma", "0.5"]) == 0

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
+import dgs_opt
 from dgs_opt import (
+    ConvexityConstants,
     DGSConfig,
     Objective,
     RunConfig,
     SigmaSchedule,
     build_gh_rule,
+    diminishing_rate,
     gd_step,
     identity_basis,
     quadratic_objective,
     run,
     sigma_at,
+    theorem3_schedule,
 )
 from dgs_opt.optimizer import SIGMA_FLOOR
 
@@ -24,7 +30,7 @@ def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
         basis=identity_basis(d),
         step_size=0.01,
         max_iterations=50,
-        schedule=schedule or SigmaSchedule(kind="constant", sigma0=sigma0),
+        schedule=schedule or SigmaSchedule(sigma0),
         initial_point=np.random.default_rng(seed).uniform(-5.0, 5.0, size=d),
     )
     defaults.update(kwargs)
@@ -33,34 +39,80 @@ def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
 
 class TestSchedules:
     def test_constant(self):
-        sched = SigmaSchedule(kind="constant", sigma0=0.7)
+        sched = SigmaSchedule(0.7)
         assert sigma_at(sched, 0) == 0.7
         assert sigma_at(sched, 10_000) == 0.7
 
     def test_two_phase_decay(self):
-        sched = SigmaSchedule(
-            kind="two-phase-decay", sigma0=1.0, switch_iteration=100, contraction=0.99
-        )
+        sched = SigmaSchedule(1.0, switch_iteration=100, contraction=0.99)
         assert sigma_at(sched, 0) == 1.0
         assert sigma_at(sched, 99) == 1.0
         np.testing.assert_allclose(sigma_at(sched, 100), 1.0)
         np.testing.assert_allclose(sigma_at(sched, 150), 0.99**50)
 
     def test_theorem3_is_positive_and_geometric(self):
-        sched = SigmaSchedule(kind="theorem3", beta=0.001, L=2.0, tau=2.0, r0_tilde=1.0)
+        sched = theorem3_schedule(beta=0.001, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5)
         vals = [sigma_at(sched, t) for t in range(0, 400, 100)]
         assert all(v > 0 for v in vals)
         ratios = [b / a for a, b in zip(vals, vals[1:])]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
         assert ratios[0] < 1.0
 
-    def test_unknown_kind_rejected(self):
+    def test_theorem3_contraction_is_root_of_rate(self):
+        sched = theorem3_schedule(beta=1e-4, L=2.0, tau=1.5, r0_tilde=1.0, dimension=3)
+        rho = diminishing_rate(ConvexityConstants(L=2.0, tau=1.5), 1e-4, 3)
+        assert sched.switch_iteration == 0
+        assert sched.contraction == math.sqrt(rho)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(sigma0=0.0), dict(sigma0=1.0, contraction=0.0),
+         dict(sigma0=1.0, contraction=1.5), dict(sigma0=1.0, switch_iteration=-1)],
+    )
+    def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SigmaSchedule(kind="linear")
+            SigmaSchedule(**kwargs)
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
-            sigma_at(SigmaSchedule(kind="constant"), -1)
+            sigma_at(SigmaSchedule(1.0), -1)
+
+
+def _old_sigma(kind, t, sigma0=1.0, switch=0, c=1.0, beta=1.0, L=2.0, tau=2.0, r0=1.0, d=5):
+    """The per-kind radius formulas the schedule kinds were written with."""
+    if kind == "constant":
+        return sigma0
+    if kind == "two-phase-decay":
+        return sigma0 if t < switch else sigma0 * c ** (t - switch)
+    rho = diminishing_rate(ConvexityConstants(L=L, tau=tau), beta, d)
+    scale = np.sqrt(beta) / (8.0 * L**2 * np.pi + 4.0 * beta**2) ** 0.25
+    return float(scale * rho ** (t / 2.0) * r0)
+
+
+@pytest.mark.parametrize("sigma0,switch,c", [(0.7, 0, 1.0), (2.5, 0, 1.0), (1.0, 100, 0.99),
+                                             (0.3, 5000, 0.999), (1e-3, 0, 0.5)])
+def test_law_matches_constant_and_two_phase_bit_for_bit(sigma0, switch, c):
+    kind = "constant" if c == 1.0 else "two-phase-decay"
+    sched = SigmaSchedule(sigma0, switch, c)
+    for t in range(20_001):
+        assert sigma_at(sched, t) == _old_sigma(kind, t, sigma0, switch, c)
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1e-3])
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("r0", [1.0, 0.7])
+@pytest.mark.parametrize("tau", [2.0, 1.5])
+def test_law_matches_theorem3_to_rounding(beta, d, r0, tau):
+    sched = theorem3_schedule(beta=beta, L=2.0, tau=tau, r0_tilde=r0, dimension=d)
+    got = np.array([sigma_at(sched, t) for t in range(5001)])
+    want = np.array([_old_sigma("theorem3", t, beta=beta, tau=tau, r0=r0, d=d)
+                     for t in range(5001)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_every_exported_name_resolves():
+    for name in dgs_opt.__all__:
+        assert getattr(dgs_opt, name) is not None, name
 
 
 class TestGdStep:
@@ -118,9 +170,7 @@ class TestRun:
         assert np.all(np.isfinite(rec.iterates))
 
     def test_sigma_floor_stops_run(self):
-        sched = SigmaSchedule(
-            kind="two-phase-decay", sigma0=1e-13, switch_iteration=0, contraction=0.5
-        )
+        sched = SigmaSchedule(1e-13, switch_iteration=0, contraction=0.5)
         rec = run(
             make_run_config(quadratic_objective(2), sigma0=1e-13, schedule=sched,
                             max_iterations=1000)
@@ -155,9 +205,7 @@ _STOPS = {
     "sigma-floor": dict(
         objective=quadratic_objective(2),
         sigma0=1e-13,
-        schedule=SigmaSchedule(
-            kind="two-phase-decay", sigma0=1e-13, switch_iteration=0, contraction=0.5
-        ),
+        schedule=SigmaSchedule(1e-13, switch_iteration=0, contraction=0.5),
         max_iterations=1000,
     ),
     "norm-blowup": dict(objective=quadratic_objective(2), step_size=10.0, max_iterations=200),
