@@ -7,23 +7,13 @@ point had every trial diverge, 3 results could not be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import theory
-from .harness import (
-    ConfigError,
-    OutputError,
-    SweepSummary,
-    load_config,
-    mean_traces,
-    parse_config,
-    run_experiment,
-)
+from .harness import (ConfigError, OutputError, load_config, parse_config, read_sweep,
+                      run_experiment)
 from .plotting import PLOT_KINDS, emit_plot
 from .quadrature import MAX_ORDER
 
@@ -87,76 +77,10 @@ def _cmd_presets(args) -> int:
     return EXIT_OK
 
 
-_SUMMARY_COLUMNS = {"sigma": float, "mean_final_dist": float, "std_final_dist": float,
-                    "mean_final_objective": float, "trials_ok": int}
-_TRACE_COLUMNS = {"trial": int, "dist": float, "cosine_sim": float}
-
-
-def _read_csv(path: Path, what: str, columns: dict) -> list[tuple]:
-    """Each row of a CSV file as a tuple of ``columns`` (name -> converter).
-    A file that cannot be read, or a missing column or a value its converter
-    rejects, is a ConfigError that names the file."""
-    try:
-        with open(path) as fh:
-            return [tuple(convert(row[name]) for name, convert in columns.items())
-                    for row in csv.DictReader(fh)]
-    except OSError as e:
-        raise ConfigError(f"cannot read {what} {path}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed {what} {path}: {e!r}") from e
-
-
-def _summary_from_csv(path: Path) -> SweepSummary:
-    rows = _read_csv(path, "summary CSV", _SUMMARY_COLUMNS)
-    if not rows:
-        raise ConfigError(f"{path} is not a sweep summary CSV")
-    sigmas, mean_final, std_final, mean_obj, ok = zip(*rows)
-    ok = np.array(ok)
-    dist_traces, cos_traces = _traces_from_csvs(path.parent, ok)
-    return SweepSummary(
-        sigmas=sigmas,
-        mean_final_dist=np.array(mean_final),
-        std_final_dist=np.array(std_final),
-        mean_final_objective=np.array(mean_obj),
-        trials_ok=ok,
-        mean_dist_traces=dist_traces,
-        mean_cosine_traces=cos_traces,
-        evaluation_counts=np.zeros(len(ok), dtype=np.int64),
-        trials=int(ok.max(initial=0)),
-        max_iterations=0,
-    )
-
-
-def _traces_from_csvs(directory: Path, trials_ok):
-    """Rebuild mean traces from the per-grid trace CSVs next to summary.csv.
-    Grid points without a trace file, or where every trial diverged
-    (``trials_ok`` 0, as ``run_experiment`` leaves them), plot as missing."""
-    dist_traces: list = []
-    cos_traces: list = []
-    for g, ok in enumerate(trials_ok):
-        path = directory / f"trace_grid{g:02d}.csv"
-        per_trial_dist: dict[int, list[float]] = {}
-        per_trial_cos: dict[int, list[float]] = {}
-        if ok > 0 and path.exists():
-            for t, dist, cos in _read_csv(path, "trace CSV", _TRACE_COLUMNS):
-                per_trial_dist.setdefault(t, []).append(dist)
-                per_trial_cos.setdefault(t, []).append(cos)
-        dist = cos = None
-        if per_trial_dist:
-            dist, cos = mean_traces(
-                per_trial_dist.values(),
-                per_trial_cos.values(),
-                max(len(v) for v in per_trial_dist.values()),
-            )
-        dist_traces.append(dist)
-        cos_traces.append(cos)
-    return dist_traces, cos_traces
-
-
 def _cmd_plot(args) -> int:
-    summary = _summary_from_csv(Path(args.summary))
+    data = read_sweep(args.summary)
     try:
-        emit_plot(summary, args.kind, args.out)
+        emit_plot(data, args.kind, args.out)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     print(f"wrote {args.out}")

@@ -1,5 +1,5 @@
 """Experiment front-end: JSON configs, seeded multi-trial sigma sweeps,
-aggregation, and CSV emission.
+aggregation, and the result CSVs, written and read back.
 
 A config fixes everything: objective, noise, step size, sigma grid (as
 multipliers of the noise wavelength), schedule, trial count, and master
@@ -9,6 +9,7 @@ of every CSV it writes.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -213,6 +214,11 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
         _build_schedule(config, config.sigma_values[0])
     except (ArithmeticError, ValueError) as e:  # a theorem3 rate can overflow
         raise ConfigError(f"bad noise or schedule in {where}: {e}") from e
+    if not all(0 < s < math.inf for s in config.sigma_values):
+        raise ConfigError(
+            "sigma_grid times the noise wavelength must be positive and finite, "
+            f"got {config.sigma_values}"
+        )
     return config
 
 
@@ -301,21 +307,29 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
 
 
 @dataclass
-class SweepSummary:
-    """Aggregates over the trials at each sigma grid point.
-
-    Grid points where every trial diverged are invalid: trials_ok is 0 and
-    the mean fields are NaN. Aggregation is order-insensitive in the trial
-    index.
-    """
+class PlotData:
+    """What the plots draw of a sweep, per sigma grid point: the mean final
+    distance and the mean distance and cosine traces (None where no trace
+    is drawn)."""
 
     sigmas: tuple[float, ...]
     mean_final_dist: np.ndarray
+    mean_dist_traces: list
+    mean_cosine_traces: list
+
+
+@dataclass
+class SweepSummary(PlotData):
+    """Aggregates over the trials at each sigma grid point of a live run.
+
+    Grid points where every trial diverged are invalid: trials_ok is 0, the
+    mean fields are NaN and the traces None. Aggregation is order-insensitive
+    in the trial index.
+    """
+
     std_final_dist: np.ndarray
     mean_final_objective: np.ndarray
     trials_ok: np.ndarray
-    mean_dist_traces: list  # per grid point: (max_iterations + 1,) or None
-    mean_cosine_traces: list
     evaluation_counts: np.ndarray  # summed over all trials
     trials: int
     max_iterations: int
@@ -346,10 +360,21 @@ def mean_traces(dists, cosines, length: int) -> tuple[np.ndarray, np.ndarray]:
         )
 
 
-def _fmt(x: float) -> str:
-    if np.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+# --- result files ------------------------------------------------------------
+
+# The columns read back to plot a sweep, with the type each must parse as.
+_SUMMARY_PLOT_COLUMNS = {"sigma": float, "mean_final_dist": float, "trials_ok": int}
+_TRACE_PLOT_COLUMNS = {"trial": int, "dist": float, "cosine_sim": float}
+
+
+def _formatted(values) -> list[str]:
+    """Each value as every CSV float is written: 17 significant digits, so it
+    reads back bit for bit."""
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _trace_path(directory: Path, grid_index: int) -> Path:
+    return directory / f"trace_grid{grid_index:02d}.csv"
 
 
 def write_trace_csv(records: list[tuple[int, TrialRecord]], path) -> None:
@@ -358,30 +383,81 @@ def write_trace_csv(records: list[tuple[int, TrialRecord]], path) -> None:
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")
             for trial, rec in sorted(records, key=lambda tr: tr[0]):
-                n = len(rec.distances)
-                for t in range(n):
-                    fh.write(
-                        f"{trial},{t},{_fmt(rec.sigmas[t])},{_fmt(rec.distances[t])},"
-                        f"{_fmt(rec.objective_values[t])},{_fmt(rec.cosine_similarities[t])}\n"
-                    )
+                columns = map(_formatted, (rec.sigmas, rec.distances,
+                                           rec.objective_values, rec.cosine_similarities))
+                fh.write("".join(
+                    f"{trial},{t},{sigma},{dist},{objective},{cosine}\n"
+                    for t, (sigma, dist, objective, cosine) in enumerate(zip(*columns))
+                ))
     except OSError as e:
         raise OutputError(f"cannot write trace CSV {path}: {e}") from e
 
 
 def emit_csv(summary: SweepSummary, path) -> None:
     """Summary CSV: one row per sigma grid point, 17-significant-digit floats."""
+    columns = map(_formatted, (summary.sigmas, summary.mean_final_dist,
+                               summary.std_final_dist, summary.mean_final_objective))
     try:
         with open(path, "w") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for g, sigma in enumerate(summary.sigmas):
-                fh.write(
-                    f"{_fmt(sigma)},{_fmt(summary.mean_final_dist[g])},"
-                    f"{_fmt(summary.std_final_dist[g])},"
-                    f"{_fmt(summary.mean_final_objective[g])},"
-                    f"{int(summary.trials_ok[g])}\n"
-                )
+            fh.write("".join(
+                f"{sigma},{mean},{std},{objective},{ok}\n"
+                for sigma, mean, std, objective, ok in zip(*columns, map(int, summary.trials_ok))
+            ))
     except OSError as e:
         raise OutputError(f"cannot write summary CSV {path}: {e}") from e
+
+
+def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
+    """The named ``columns`` (name -> type) of a CSV file as one structured
+    array. A file that cannot be read, a missing column or a value that does
+    not parse as its column's type is a ConfigError that names the file."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            rows = [line for line in fh.read().splitlines() if line.strip()]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ConfigError(f"malformed {what} {path}: missing column(s) {missing}")
+    dtype = list(columns.items())
+    if not rows:  # np.loadtxt warns on no data
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.loadtxt(rows, delimiter=",", dtype=dtype, ndmin=1,
+                          usecols=[header.index(name) for name in columns])
+    except ValueError as e:
+        raise ConfigError(f"malformed {what} {path}: {e}") from e
+
+
+def read_sweep(summary_csv) -> PlotData:
+    """What the plots draw, read back from a sweep's ``summary.csv`` and the
+    trace CSVs next to it. Grid points where every trial diverged (trials_ok
+    0) or without a trace file get no traces; the trace means cover every
+    trial in the file, in any row order, each padded to the longest."""
+    path = Path(summary_csv)
+    summary = _read_columns(path, "summary CSV", _SUMMARY_PLOT_COLUMNS)
+    if not len(summary):
+        raise ConfigError(f"{path} is not a sweep summary CSV")
+    dist_traces: list = []
+    cos_traces: list = []
+    for g, ok in enumerate(summary["trials_ok"]):
+        trace_path = _trace_path(path.parent, g)
+        rows = (_read_columns(trace_path, "trace CSV", _TRACE_PLOT_COLUMNS)
+                if ok > 0 and trace_path.exists() else ())
+        dist = cos = None
+        if len(rows):
+            rows = rows[np.argsort(rows["trial"], kind="stable")]
+            starts = np.flatnonzero(np.diff(rows["trial"])) + 1
+            dists = np.split(rows["dist"], starts)
+            dist, cos = mean_traces(dists, np.split(rows["cosine_sim"], starts),
+                                    max(map(len, dists)))
+        dist_traces.append(dist)
+        cos_traces.append(cos)
+    return PlotData(sigmas=tuple(summary["sigma"].tolist()),
+                    mean_final_dist=np.array(summary["mean_final_dist"]),
+                    mean_dist_traces=dist_traces, mean_cosine_traces=cos_traces)
 
 
 def run_experiment(
@@ -426,7 +502,7 @@ def run_experiment(
     for g in range(n_grid):
         grid_records = [(t, results[(g, t)]) for t in range(config.trials)]
         if out_path is not None:
-            write_trace_csv(grid_records, out_path / f"trace_grid{g:02d}.csv")
+            write_trace_csv(grid_records, _trace_path(out_path, g))
         ok = [rec for _, rec in grid_records if rec.status == "ok"]
         ok_counts[g] = len(ok)
         eval_counts[g] = sum(rec.evaluation_count for _, rec in grid_records)

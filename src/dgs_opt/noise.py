@@ -47,14 +47,12 @@ class BandlimitedNoise:
     """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0."""
 
     alpha0: float
-    num_components: int
-    frequencies: np.ndarray  # (d, num_components)
-    seed: int
+    frequencies: np.ndarray  # (d, J)
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
-        if freqs.ndim != 2 or freqs.shape[1] != self.num_components:
-            raise ValueError(f"frequencies must be (d, {self.num_components})")
+        if freqs.ndim != 2:
+            raise ValueError("frequencies must be (d, J)")
         if np.any(freqs < self.alpha0):
             raise ValueError("all frequencies must be >= alpha0")
 
@@ -65,7 +63,7 @@ class BandlimitedNoise:
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         phases = _TWO_PI * x[..., None] * self.frequencies
-        return np.sin(phases).sum(axis=(-1, -2)) / self.num_components
+        return np.sin(phases).sum(axis=(-1, -2)) / self.frequencies.shape[1]
 
 
 def sample_bandlimited(
@@ -88,9 +86,7 @@ def sample_bandlimited(
         remaining &= wavelengths < MIN_WAVELENGTH
     freqs = 1.0 / wavelengths
     freqs.setflags(write=False)
-    return BandlimitedNoise(
-        alpha0=alpha0, num_components=num_components, frequencies=freqs, seed=seed
-    )
+    return BandlimitedNoise(alpha0=alpha0, frequencies=freqs)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,10 @@ by striding before drawing to keep files small.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from .harness import SweepSummary
+from .harness import OutputError, PlotData
 
 PLOT_KINDS = ("convergence-curves", "cosine-vs-iteration", "final-dist-vs-sigma")
 
@@ -192,8 +190,9 @@ def _render(
     return "\n".join(out) + "\n"
 
 
-def render_plot(summary: "SweepSummary", kind: str) -> str:
-    """SVG text for one chart of a sweep summary."""
+def render_plot(summary: PlotData, kind: str) -> str:
+    """SVG text for one chart of a sweep: a live ``SweepSummary`` or the
+    ``PlotData`` read back from its CSVs."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if kind == "final-dist-vs-sigma":
@@ -239,11 +238,9 @@ def render_plot(summary: "SweepSummary", kind: str) -> str:
     )
 
 
-def emit_plot(summary: "SweepSummary", kind: str, path) -> None:
+def emit_plot(summary: PlotData, kind: str, path) -> None:
     """Write one chart as a standalone SVG file. Deterministic bytes for a
     fixed summary."""
-    from .harness import OutputError  # deferred: harness imports this module's sibling types
-
     svg = render_plot(summary, kind)
     try:
         with open(path, "w") as fh:

@@ -20,8 +20,8 @@ from dgs_opt import (
     run_experiment,
     run_trial,
 )
-from dgs_opt.cli import _summary_from_csv, main as cli_main
-from dgs_opt.harness import SUMMARY_HEADER, TRACE_HEADER, SweepSummary
+from dgs_opt.cli import main as cli_main
+from dgs_opt.harness import SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep
 
 
 def base_doc(**overrides):
@@ -251,12 +251,8 @@ class TestPlots:
             render_plot(summary, "pie-chart")
 
     def test_empty_summary_rejected(self):
-        empty = SweepSummary(
-            sigmas=(1.0,), mean_final_dist=np.array([np.nan]),
-            std_final_dist=np.array([np.nan]), mean_final_objective=np.array([np.nan]),
-            trials_ok=np.array([0]), mean_dist_traces=[None], mean_cosine_traces=[None],
-            evaluation_counts=np.array([0], dtype=np.int64), trials=1, max_iterations=5,
-        )
+        empty = PlotData(sigmas=(1.0,), mean_final_dist=np.array([np.nan]),
+                         mean_dist_traces=[None], mean_cosine_traces=[None])
         with pytest.raises(ValueError, match="nothing to plot"):
             render_plot(empty, "convergence-curves")
 
@@ -279,14 +275,24 @@ class TestCli:
     def test_plot_reads_back_the_in_memory_traces(self, tmp_path):
         # no ok trial stops early here, so the in-memory traces (length
         # max_iterations + 1) and the CSV ones (longest trial) agree in length;
-        # in the second sweep every trial at sigma = 50 diverges
-        sweeps = [(base_doc(), [2, 2]),
-                  (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0])]
-        for i, (doc, trials_ok) in enumerate(sweeps):
+        # in the second sweep every trial at sigma = 50 diverges; in the third
+        # the trace rows are interleaved, later trials first, where the order
+        # of three trials changes the bits of a mean
+        def interleaved(row):
+            trial, iteration = map(int, row.split(",")[:2])
+            return iteration, -trial
+
+        sweeps = [(base_doc(), [2, 2], False),
+                  (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0], False),
+                  (base_doc(trials=3), [3, 3], True)]
+        for i, (doc, trials_ok, shuffle) in enumerate(sweeps):
             out = tmp_path / str(i)
             summary = run_experiment(parse_config(doc), out_dir=out)
             assert list(summary.trials_ok) == trials_ok
-            read = _summary_from_csv(out / "summary.csv")
+            for path in out.glob("trace_grid*.csv") if shuffle else ():
+                header, *rows = path.read_text().splitlines()
+                path.write_text("\n".join([header, *sorted(rows, key=interleaved)]) + "\n")
+            read = read_sweep(out / "summary.csv")
             pairs = [*zip(read.mean_dist_traces, summary.mean_dist_traces),
                      *zip(read.mean_cosine_traces, summary.mean_cosine_traces)]
             for got, want in pairs:
@@ -294,14 +300,22 @@ class TestCli:
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(read.mean_final_dist, summary.mean_final_dist)
 
-    @pytest.mark.parametrize("fault", ["summary-sigma", "trace-dist", "trace-no-dist"])
+    @pytest.mark.parametrize("fault", ["summary-sigma", "summary-trials-ok-1.5",
+                                       "summary-header-only", "trace-trial-0.5",
+                                       "trace-dist", "trace-no-dist"])
     def test_plot_malformed_csv_is_one_error_line(self, fault, tmp_path, capsys):
         run_experiment(parse_config(base_doc()), out_dir=tmp_path)
-        name = "summary.csv" if fault == "summary-sigma" else "trace_grid00.csv"
+        name = "summary.csv" if fault.startswith("summary") else "trace_grid00.csv"
         path = tmp_path / name
         lines = path.read_text().splitlines()
         if fault == "summary-sigma":
             lines[1] = "x" + lines[1][lines[1].index(","):]
+        elif fault == "summary-trials-ok-1.5":
+            lines[1] = lines[1][:lines[1].rindex(",")] + ",1.5"
+        elif fault == "summary-header-only":
+            lines = lines[:1]
+        elif fault == "trace-trial-0.5":
+            lines[1] = "0.5" + lines[1][lines[1].index(","):]
         elif fault == "trace-dist":
             cells = lines[1].split(",")
             cells[3] = "abc"
@@ -354,6 +368,8 @@ class TestCli:
             {"schedule": {"kind": "theorem3", "beta": 0.01, "L": 2.0, "tau": 2.0,
                           "r0_tilde": 1.0}},
             {"schedule": {"kind": "linear"}},
+            {"sigma_grid": [1.0, 1e999]},
+            {"noise": {"kind": "periodic", "alpha": 1e-300}, "sigma_grid": [1e10]},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
@@ -361,7 +377,8 @@ class TestCli:
             "switch-negative", "L-below-tau", "theorem3-beta-0", "carrier-0",
             "noise-not-object", "output-dir-int", "dimension-inf", "trials-inf",
             "max-iterations-inf", "seed-inf", "alpha0-inf", "theorem3-overflow",
-            "theorem3-rho-above-1", "schedule-kind-linear",
+            "theorem3-rho-above-1", "schedule-kind-linear", "sigma-grid-inf",
+            "sigma-overflow",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):

@@ -83,7 +83,7 @@ class TestBandlimitedNoise:
     def test_low_frequency_component_rejected(self):
         freqs = np.full((2, 3), 0.5)
         with pytest.raises(ValueError):
-            BandlimitedNoise(alpha0=1.0, num_components=3, frequencies=freqs, seed=0)
+            BandlimitedNoise(alpha0=1.0, frequencies=freqs)
 
 
 class TestDiminishingNoise:
