@@ -338,18 +338,16 @@ class SweepSummary(PlotData):
         return int(self.trials_ok[g]) > 0
 
 
-def mean_traces(dists, cosines, length: int) -> tuple[np.ndarray, np.ndarray]:
+def mean_traces(dists, cosines) -> tuple[np.ndarray, np.ndarray]:
     """Mean distance trace and NaN-skipping mean cosine trace over trials.
 
-    Each trial's trace is cut or padded with its last value to ``length``
-    rows first, so trials that stopped early hold their final value.
+    Each trial's trace is padded with its last value to the longest trace
+    given first, so trials that stopped early hold their final value.
     """
+    length = max(map(len, dists))
 
     def pad(trace):
-        trace = np.asarray(trace, dtype=float)
-        if len(trace) >= length:
-            return trace[:length]
-        return np.concatenate([trace, np.full(length - len(trace), trace[-1])])
+        return np.pad(np.asarray(trace, dtype=float), (0, length - len(trace)), mode="edge")
 
     with warnings.catch_warnings():
         # the final row is NaN in every trial; the all-NaN mean is fine
@@ -450,9 +448,8 @@ def read_sweep(summary_csv) -> PlotData:
         if len(rows):
             rows = rows[np.argsort(rows["trial"], kind="stable")]
             starts = np.flatnonzero(np.diff(rows["trial"])) + 1
-            dists = np.split(rows["dist"], starts)
-            dist, cos = mean_traces(dists, np.split(rows["cosine_sim"], starts),
-                                    max(map(len, dists)))
+            dist, cos = mean_traces(np.split(rows["dist"], starts),
+                                    np.split(rows["cosine_sim"], starts))
         dist_traces.append(dist)
         cos_traces.append(cos)
     return PlotData(sigmas=tuple(summary["sigma"].tolist()),
@@ -514,11 +511,8 @@ def run_experiment(
         mean_final[g] = finals.mean()
         std_final[g] = finals.std()
         mean_obj[g] = np.mean([rec.objective_values[-1] for rec in ok])
-        dist, cos = mean_traces(
-            [rec.distances for rec in ok],
-            [rec.cosine_similarities for rec in ok],
-            config.max_iterations + 1,
-        )
+        dist, cos = mean_traces([rec.distances for rec in ok],
+                                [rec.cosine_similarities for rec in ok])
         dist_traces.append(dist)
         cos_traces.append(cos)
 

@@ -151,10 +151,11 @@ def power_sum_sqrt_objective(d: int = 5, noise=None) -> Objective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        s = phi(x)
-        if s == 0:
-            return np.zeros(d)
-        return powers * np.abs(x) ** (powers - 1) * np.sign(x) / (2.0 * s)
+        s = np.expand_dims(phi(x), -1)
+        # rows where s == 0 (the minimum) divide by 0; their gradient is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = powers * np.abs(x) ** (powers - 1) * np.sign(x) / (2.0 * s)
+        return np.where(s == 0, 0.0, g)
 
     return Objective(
         dimension=d,

@@ -2,6 +2,7 @@
 scheduled smoothing radius and full per-iteration trajectory records."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +111,10 @@ class TrialRecord:
         return float(self.distances[-1])
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return np.nan
-    return float(np.dot(a, b) / (na * nb))
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a and b. Each row gets the bits of np.dot on
+    it, and so of np.linalg.norm, which einsum and norm(axis=1) do not."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
 def run(config: RunConfig) -> TrialRecord:
@@ -123,7 +123,8 @@ def run(config: RunConfig) -> TrialRecord:
     Deterministic given the config. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
-    always ends at the last finite iterate.
+    always ends at the last finite iterate. The loop only steps: the objective
+    and cosine columns are computed after it, from the stacked iterates.
     """
     f = config.objective
     d = f.dimension
@@ -132,8 +133,7 @@ def run(config: RunConfig) -> TrialRecord:
         raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
 
     iterates = [x]
-    values = [float(f.evaluate(x))]
-    cosines: list[float] = []
+    estimates: list[np.ndarray] = []
     sigmas: list[float] = []
     status = "ok"
     for t in range(config.max_iterations + 1):
@@ -147,27 +147,30 @@ def run(config: RunConfig) -> TrialRecord:
             status = "diverged"
             break
         x_next = x - config.step_size * estimate
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
+        # the decision of np.linalg.norm(x_next) > DIVERGENCE_NORM, NaN and inf included
+        if not math.sqrt(x_next.dot(x_next)) <= DIVERGENCE_NORM:
             status = "diverged"
             t += 1  # the blown-up step was taken, so it counts
             break
-        cosines.append(
-            _cosine(estimate, f.true_gradient(x)) if f.true_gradient is not None else np.nan
-        )
         x = x_next
         iterates.append(x)
-        values.append(float(f.evaluate(x)))
-    cosines.append(np.nan)
+        estimates.append(estimate)
 
     iterates = np.array(iterates)
-    # NaN without a known minimizer; stacked row dot products give each row
-    # the same bits as np.linalg.norm, which norm(axis=1) and einsum do not
-    o = iterates - (np.nan if f.minimizer is None else f.minimizer)
+    estimates = np.reshape(estimates, (-1, d))
+    cosines = np.full(len(iterates), np.nan)  # the final row and zero norms stay NaN
+    if f.true_gradient is not None:
+        grads = np.asarray(f.true_gradient(iterates[:-1]), dtype=float)
+        e_norm = np.sqrt(_row_dots(estimates, estimates))
+        g_norm = np.sqrt(_row_dots(grads, grads))
+        np.divide(_row_dots(estimates, grads), e_norm * g_norm, out=cosines[:-1],
+                  where=(e_norm != 0) & (g_norm != 0))
+    o = iterates - (np.nan if f.minimizer is None else f.minimizer)  # NaN without one
     return TrialRecord(
         iterates=iterates,
-        distances=np.sqrt((o[:, None, :] @ o[:, :, None]).ravel()),
-        objective_values=np.array(values),
-        cosine_similarities=np.array(cosines),
+        distances=np.sqrt(_row_dots(o, o)),
+        objective_values=np.asarray(f.evaluate(iterates), dtype=float),
+        cosine_similarities=cosines,
         sigmas=np.array(sigmas),
         evaluation_count=t * config.rule.order * d,
         iterations_run=t,

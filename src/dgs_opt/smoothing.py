@@ -34,7 +34,8 @@ class Objective:
     of points and returns n values (a single (d,) point gives one value),
     and be safe for concurrent calls; the estimators batch their node
     evaluations through it. ``true_gradient`` and ``minimizer`` are available
-    only for synthetic objectives.
+    only for synthetic objectives; ``true_gradient`` also takes (n, d) batches.
+    The optimizer calls both once per trial on its stacked iterates.
     """
 
     dimension: int

@@ -273,22 +273,26 @@ class TestCli:
         ET.parse(svg)
 
     def test_plot_reads_back_the_in_memory_traces(self, tmp_path):
-        # no ok trial stops early here, so the in-memory traces (length
-        # max_iterations + 1) and the CSV ones (longest trial) agree in length;
-        # in the second sweep every trial at sigma = 50 diverges; in the third
-        # the trace rows are interleaved, later trials first, where the order
-        # of three trials changes the bits of a mean
+        # both sides pad each trace to the longest trial they average; in the
+        # second sweep every trial at sigma = 50 diverges; in the third the
+        # trace rows are interleaved, later trials first, where the order of
+        # three trials changes the bits of a mean; in the fourth every trial
+        # stops at the sigma floor, well before max_iterations
         def interleaved(row):
             trial, iteration = map(int, row.split(",")[:2])
             return iteration, -trial
 
         sweeps = [(base_doc(), [2, 2], False),
                   (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0], False),
-                  (base_doc(trials=3), [3, 3], True)]
+                  (base_doc(trials=3), [3, 3], True),
+                  (base_doc(schedule={"kind": "two-phase-decay", "switch_iteration": 0,
+                                      "contraction": 0.3}), [2, 2], False)]
         for i, (doc, trials_ok, shuffle) in enumerate(sweeps):
             out = tmp_path / str(i)
             summary = run_experiment(parse_config(doc), out_dir=out)
             assert list(summary.trials_ok) == trials_ok
+            if i == 3:
+                assert all(len(tr) < doc["max_iterations"] for tr in summary.mean_dist_traces)
             for path in out.glob("trace_grid*.csv") if shuffle else ():
                 header, *rows = path.read_text().splitlines()
                 path.write_text("\n".join([header, *sorted(rows, key=interleaved)]) + "\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ class TestSyntheticObjectives:
         f = quadratic_objective(3)
         x = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(f.true_gradient(x), 2 * x, rtol=1e-14)
+
+    @pytest.mark.parametrize("f", [power_sum_sqrt_objective(5), quadratic_objective(3)],
+                             ids=["power-sum-sqrt", "quadratic"])
+    def test_batched_gradient_matches_rows(self, f):
+        pts = np.random.default_rng(11).uniform(-3, 3, size=(6, f.dimension))
+        pts[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning from the zero row fails the test
+            batch = f.true_gradient(pts)
+            rows = [f.true_gradient(p) for p in pts]
+        assert batch.shape == pts.shape
+        assert batch.tobytes() == np.array(rows).tobytes()
+        assert np.zeros(f.dimension).tobytes() == batch[2].tobytes()
 
     def test_noise_attaches_additively(self):
         noise = PeriodicNoise(alpha=1.0)

@@ -11,9 +11,11 @@ from dgs_opt import (
     RunConfig,
     SigmaSchedule,
     build_gh_rule,
+    dgs_gradient,
     diminishing_rate,
     gd_step,
     identity_basis,
+    power_sum_sqrt_objective,
     quadratic_objective,
     run,
     sigma_at,
@@ -244,3 +246,47 @@ def test_stop_semantics(stop):
     else:  # bit for bit, as the per-row norm the trace CSVs were written with
         want = [np.linalg.norm(x - minimizer) for x in rec.iterates]
         np.testing.assert_array_equal(rec.distances, want)
+    _assert_per_step_columns(cfg, rec)
+
+
+def _assert_per_step_columns(cfg, rec):
+    """The objective and cosine columns, computed after the loop from the
+    stacked iterates, equal their per-step definitions bit for bit."""
+    f = cfg.objective
+    np.testing.assert_array_equal(rec.objective_values,
+                                  [float(f.evaluate(x)) for x in rec.iterates])
+    want = []
+    for x, sigma in zip(rec.iterates[:-1], rec.sigmas):
+        e = dgs_gradient(f, x, DGSConfig(sigma, cfg.rule, cfg.basis))
+        g = f.true_gradient(x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN at a zero norm
+            want.append(np.dot(e, g) / (np.linalg.norm(e) * np.linalg.norm(g)))
+    np.testing.assert_array_equal(rec.cosine_similarities[:-1], want)
+
+
+def test_cosine_is_nan_where_the_true_gradient_is_zero():
+    cfg = make_run_config(power_sum_sqrt_objective(3), initial_point=np.zeros(3),
+                          max_iterations=20)
+    rec = run(cfg)
+    assert rec.status == "ok" and rec.iterations_run == 20
+    assert np.isnan(rec.cosine_similarities[0])
+    _assert_per_step_columns(cfg, rec)
+
+
+def test_loop_records_no_column_per_step():
+    # the objective and cosine columns take one batched call each per trial,
+    # so the step loop evaluates only through the estimator
+    calls = {"evaluate": 0, "true_gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    f = quadratic_objective(3)
+    f.evaluate = counted("evaluate", f.evaluate)
+    f.true_gradient = counted("true_gradient", f.true_gradient)
+    rec = run(make_run_config(f, max_iterations=30))
+    assert rec.iterations_run == 30
+    assert calls == {"evaluate": 30 + 1, "true_gradient": 1}
