@@ -23,8 +23,7 @@ from .noise import (
     quadratic_objective,
     sample_bandlimited,
 )
-from .optimizer import (RunConfig, SigmaSchedule, TrialRecord, gd_step, run, sigma_at,
-                        theorem3_schedule)
+from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, sigma_at, theorem3_schedule
 from .plotting import emit_plot, render_plot
 from .quadrature import GHRule, build_gh_rule
 from .smoothing import (
@@ -63,7 +62,7 @@ __all__ = [
     "closed_form_smoothed_sine_derivative", "contraction_rate",
     "delta_sigma_periodic", "dgs_gradient", "diminishing_beta_condition",
     "diminishing_noise_grad_bound", "diminishing_rate",
-    "directional_derivative_gh", "emit_csv", "emit_plot", "gd_step",
+    "directional_derivative_gh", "emit_csv", "emit_plot",
     "gh_error_term", "gs_gradient_mc", "identity_basis", "load_config",
     "mix_seed", "noise_only_objective", "parse_config",
     "periodic_noise_grad_bound", "power_sum_sqrt_objective",

@@ -15,7 +15,7 @@ from . import theory
 from .harness import (ConfigError, OutputError, load_config, parse_config, read_sweep,
                       run_experiment)
 from .plotting import PLOT_KINDS, emit_plot
-from .quadrature import MAX_ORDER
+from .quadrature import build_gh_rule
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,8 +70,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    if args.action != "list":
-        raise ConfigError(f"unknown presets action {args.action!r}")
     for name in list_presets():
         print(name)
     return EXIT_OK
@@ -88,9 +86,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not 1 <= args.order <= MAX_ORDER:
-        raise ConfigError(f"--order must be in 1..{MAX_ORDER}, got {args.order}")
     try:
+        build_gh_rule(args.order)  # rejects an order outside 1..MAX_ORDER
         constants = theory.ConvexityConstants(L=args.L, tau=args.tau)
         if args.model == "periodic":
             bound = theory.periodic_noise_grad_bound(
@@ -128,8 +125,16 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ConfigErrors, so a bad argument
+    exits 1 like any bad input; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dgs-opt",
         description="Smoothing-based gradient estimation experiments",
     )
@@ -137,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a sweep from a config file or preset")
     p_run.add_argument("config", help="path to a JSON config, or a preset name")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per trial")
     p_run.add_argument("--out", default=None, help="output directory (default: results)")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_run.set_defaults(func=_cmd_run)
@@ -175,9 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,7 @@ of every CSV it writes.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -375,35 +376,42 @@ def _trace_path(directory: Path, grid_index: int) -> Path:
     return directory / f"trace_grid{grid_index:02d}.csv"
 
 
-def write_trace_csv(records: list[tuple[int, TrialRecord]], path) -> None:
-    """Per-trial trace CSV, rows sorted by (trial, iteration)."""
+def write_text(path, chunks, what: str) -> None:
+    """Write the text ``chunks`` to ``path`` in order. An OSError is an
+    OutputError that names the file as ``what``."""
     try:
         with open(path, "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for trial, rec in sorted(records, key=lambda tr: tr[0]):
-                columns = map(_formatted, (rec.sigmas, rec.distances,
-                                           rec.objective_values, rec.cosine_similarities))
-                fh.write("".join(
-                    f"{trial},{t},{sigma},{dist},{objective},{cosine}\n"
-                    for t, (sigma, dist, objective, cosine) in enumerate(zip(*columns))
-                ))
+            fh.writelines(chunks)
     except OSError as e:
-        raise OutputError(f"cannot write trace CSV {path}: {e}") from e
+        raise OutputError(f"cannot write {what} {path}: {e}") from e
+
+
+def _trace_chunks(records: list[TrialRecord]):
+    """The trace CSV text, one chunk per trial, so a write never holds more
+    than one trial's text."""
+    yield TRACE_HEADER + "\n"
+    for trial, rec in enumerate(records):
+        columns = map(_formatted, (rec.sigmas, rec.distances,
+                                   rec.objective_values, rec.cosine_similarities))
+        yield "".join(
+            f"{trial},{t},{sigma},{dist},{objective},{cosine}\n"
+            for t, (sigma, dist, objective, cosine) in enumerate(zip(*columns))
+        )
+
+
+def write_trace_csv(records: list[TrialRecord], path) -> None:
+    """Per-trial trace CSV of one grid point's records, given in trial order."""
+    write_text(path, _trace_chunks(records), "trace CSV")
 
 
 def emit_csv(summary: SweepSummary, path) -> None:
     """Summary CSV: one row per sigma grid point, 17-significant-digit floats."""
     columns = map(_formatted, (summary.sigmas, summary.mean_final_dist,
                                summary.std_final_dist, summary.mean_final_objective))
-    try:
-        with open(path, "w") as fh:
-            fh.write(SUMMARY_HEADER + "\n")
-            fh.write("".join(
-                f"{sigma},{mean},{std},{objective},{ok}\n"
-                for sigma, mean, std, objective, ok in zip(*columns, map(int, summary.trials_ok))
-            ))
-    except OSError as e:
-        raise OutputError(f"cannot write summary CSV {path}: {e}") from e
+    write_text(path, [SUMMARY_HEADER + "\n", *(
+        f"{sigma},{mean},{std},{objective},{ok}\n"
+        for sigma, mean, std, objective, ok in zip(*columns, map(int, summary.trials_ok))
+    )], "summary CSV")
 
 
 def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
@@ -467,19 +475,15 @@ def run_experiment(
     ``summary.csv`` plus one trace CSV per grid point. Deterministic for a
     fixed config regardless of ``jobs``.
     """
-    n_grid = len(config.sigma_grid)
-    results: dict[tuple[int, int], TrialRecord] = {}
-    tasks = [(g, t) for g in range(n_grid) for t in range(config.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (g, t): pool.submit(run_trial, config, g, t) for g, t in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for g, t in tasks:
-            results[(g, t)] = run_trial(config, g, t)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    n_grid, trials = len(config.sigma_grid), config.trials
+    tasks = [(g, t) for g in range(n_grid) for t in range(trials)]
+    workers = min(jobs, len(tasks))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        # run_trial is looked up per sweep, as perfbench's Capture replaces it
+        records = list((pool.map if pool else map)(
+            run_trial, [config] * len(tasks), *zip(*tasks)))
 
     mean_final = np.full(n_grid, np.nan)
     std_final = np.full(n_grid, np.nan)
@@ -497,12 +501,12 @@ def run_experiment(
             raise OutputError(f"cannot create output directory {out_path}: {e}") from e
 
     for g in range(n_grid):
-        grid_records = [(t, results[(g, t)]) for t in range(config.trials)]
+        grid_records = records[g * trials:(g + 1) * trials]
         if out_path is not None:
             write_trace_csv(grid_records, _trace_path(out_path, g))
-        ok = [rec for _, rec in grid_records if rec.status == "ok"]
+        ok = [rec for rec in grid_records if rec.status == "ok"]
         ok_counts[g] = len(ok)
-        eval_counts[g] = sum(rec.evaluation_count for _, rec in grid_records)
+        eval_counts[g] = sum(rec.evaluation_count for rec in grid_records)
         if not ok:
             dist_traces.append(None)
             cos_traces.append(None)

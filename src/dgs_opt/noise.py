@@ -8,7 +8,6 @@ minimizer. Each evaluates in closed form and supports batched points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -56,10 +55,6 @@ class BandlimitedNoise:
         if np.any(freqs < self.alpha0):
             raise ValueError("all frequencies must be >= alpha0")
 
-    @property
-    def dimension(self) -> int:
-        return self.frequencies.shape[0]
-
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         phases = _TWO_PI * x[..., None] * self.frequencies
@@ -91,13 +86,13 @@ def sample_bandlimited(
 
 @dataclass(frozen=True)
 class DiminishingNoise:
-    """eps(x) = beta * sum_i (x_i - x*_i)^2 sin(2 pi c (x_i - x*_i)).
+    """eps(x) = beta * sum_i x_i^2 sin(2 pi c x_i), which vanishes at the
+    objectives' minimizer x* = 0.
 
-    Satisfies |eps(x)| <= beta * ||x - x*||^2 everywhere.
+    Satisfies |eps(x)| <= beta * ||x||^2 everywhere.
     """
 
     beta: float = 1.0
-    minimizer: Optional[np.ndarray] = None
     carrier_frequency: float = 1.0
 
     def __post_init__(self):
@@ -110,8 +105,6 @@ class DiminishingNoise:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        if self.minimizer is not None:
-            x = x - np.asarray(self.minimizer, dtype=float)
         return self.beta * (x**2 * np.sin(_TWO_PI * self.carrier_frequency * x)).sum(
             axis=-1
         )

@@ -63,13 +63,6 @@ def sigma_at(schedule: SigmaSchedule, t: int) -> float:
     return schedule.sigma0 * schedule.contraction ** (t - schedule.switch_iteration)
 
 
-def gd_step(
-    x: np.ndarray, f: Objective, config: DGSConfig, lam: float
-) -> np.ndarray:
-    """One unconstrained descent step: x - lam * dgs_gradient(f, x, config)."""
-    return np.asarray(x, dtype=float) - lam * dgs_gradient(f, x, config)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     objective: Objective

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .harness import OutputError, PlotData
+from .harness import PlotData, write_text
 
 PLOT_KINDS = ("convergence-curves", "cosine-vs-iteration", "final-dist-vs-sigma")
 
@@ -241,9 +241,4 @@ def render_plot(summary: PlotData, kind: str) -> str:
 def emit_plot(summary: PlotData, kind: str, path) -> None:
     """Write one chart as a standalone SVG file. Deterministic bytes for a
     fixed summary."""
-    svg = render_plot(summary, kind)
-    try:
-        with open(path, "w") as fh:
-            fh.write(svg)
-    except OSError as e:
-        raise OutputError(f"cannot write plot {path}: {e}") from e
+    write_text(path, [render_plot(summary, kind)], "plot")

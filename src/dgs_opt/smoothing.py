@@ -56,22 +56,22 @@ class Objective:
 class DirectionBasis:
     """d orthonormal unit vectors, stored as the columns of a d x d matrix."""
 
-    dimension: int
     columns: np.ndarray
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
-        if cols.shape != (self.dimension, self.dimension):
-            raise ValueError(
-                f"basis must be {self.dimension}x{self.dimension}, got {cols.shape}"
-            )
-        gram = cols.T @ cols
-        if not np.allclose(gram, np.eye(self.dimension), atol=1e-12):
+        if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
+            raise ValueError(f"basis must be a square matrix, got shape {cols.shape}")
+        if not np.allclose(cols.T @ cols, np.eye(len(cols)), atol=1e-12):
             raise ValueError("basis columns are not orthonormal to 1e-12")
+
+    @property
+    def dimension(self) -> int:
+        return self.columns.shape[0]
 
 
 def identity_basis(d: int) -> DirectionBasis:
-    return DirectionBasis(dimension=d, columns=np.eye(d))
+    return DirectionBasis(np.eye(d))
 
 
 def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
@@ -84,7 +84,7 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     q, r = np.linalg.qr(a)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return DirectionBasis(dimension=d, columns=q * signs)
+    return DirectionBasis(q * signs)
 
 
 @dataclass(frozen=True)

@@ -250,14 +250,15 @@ def test_criterion_5_no_noise_contraction():
     f = dg.quadratic_objective(D)  # L = tau = 2
     rate_bound = 1.0 - 2.0 / (32.0 * 2.0)  # 0.96875
     lam = 1.0 / (16.0 * 2.0)
-    cfg = dg.DGSConfig(sigma=0.5, rule=dg.build_gh_rule(5), basis=dg.identity_basis(D))
-    x = np.random.default_rng(3).uniform(-5, 5, D)
+    rec = dg.run(dg.RunConfig(
+        objective=f, rule=dg.build_gh_rule(5), basis=dg.identity_basis(D), step_size=lam,
+        max_iterations=200, schedule=dg.SigmaSchedule(0.5),
+        initial_point=np.random.default_rng(3).uniform(-5, 5, D),
+    ))
     worst = 0.0
-    for _ in range(200):
-        x_next = dg.gd_step(x, f, cfg, lam)
+    for x, x_next in zip(rec.iterates, rec.iterates[1:]):
         ratio = np.dot(x_next, x_next) / np.dot(x, x)
         worst = max(worst, ratio)
-        x = x_next
     elapsed = time.time() - t0
     report(
         5,
@@ -267,6 +268,7 @@ def test_criterion_5_no_noise_contraction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_periodic_experiment(periodic_sweep):
     _, summary, _ = periodic_sweep
     sigmas = np.array(summary.sigmas)
@@ -284,6 +286,7 @@ def test_criterion_6_periodic_experiment(periodic_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_bandlimited_experiment(bandlimited_sweep):
     _, summary = bandlimited_sweep
     sigmas = np.array(summary.sigmas)
@@ -299,6 +302,7 @@ def test_criterion_7_bandlimited_experiment(bandlimited_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_two_phase_decay(diminishing_runs):
     two_phase, constant = diminishing_runs
     trace = two_phase.mean_dist_traces[0]
@@ -330,6 +334,7 @@ def test_criterion_8_two_phase_decay(diminishing_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_cosine_sweep(periodic_sweep):
     # Every sigma is scored at one common set of seeded points, DGS estimate
     # against grad phi. Averaging over each sigma's own trajectory would
@@ -362,6 +367,7 @@ def test_criterion_9_cosine_sweep(periodic_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(periodic_sweep, tmp_path):
     config, _, first_out = periodic_sweep
     dg.run_experiment(config, out_dir=tmp_path)

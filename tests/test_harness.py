@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dgs_opt import (
     ConfigError,
     ExperimentConfig,
+    OutputError,
     emit_csv,
     emit_plot,
     load_config,
@@ -20,8 +22,10 @@ from dgs_opt import (
     run_experiment,
     run_trial,
 )
+from dgs_opt import harness
 from dgs_opt.cli import main as cli_main
-from dgs_opt.harness import SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep
+from dgs_opt.harness import (SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep,
+                             write_trace_csv)
 
 
 def base_doc(**overrides):
@@ -221,6 +225,80 @@ class TestRunExperiment:
         emit_csv(empty, tmp_path / "empty.csv")
         assert (tmp_path / "empty.csv").read_text() == SUMMARY_HEADER + "\n"
 
+    def test_unwritable_file_is_an_output_error_naming_it(self, small_summary, tmp_path):
+        path = tmp_path / "not-a-directory" / "out"
+        path.parent.write_text("")
+        record = run_trial(parse_config(base_doc()), 0, 0)
+        for write, what in [(lambda: write_trace_csv([record], path), "trace CSV"),
+                            (lambda: emit_csv(small_summary, path), "summary CSV"),
+                            (lambda: emit_plot(small_summary, "convergence-curves", path), "plot")]:
+            with pytest.raises(OutputError, match=f"cannot write {what} {re.escape(str(path))}"):
+                write()
+
+
+def _assert_same_summary(a, b):
+    for name in ("sigmas", "mean_final_dist", "std_final_dist", "mean_final_objective",
+                 "trials_ok", "evaluation_counts"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    for got, want in [*zip(a.mean_dist_traces, b.mean_dist_traces),
+                      *zip(a.mean_cosine_traces, b.mean_cosine_traces)]:
+        assert (got is None) == (want is None)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestExecutor:
+    @pytest.mark.parametrize("doc", [
+        base_doc(sigma_grid=[0.5, 50.0], step_size=0.1),
+        base_doc(objective={"kind": "quadratic", "dimension": 3, "box": [-5, 5]},
+                 noise={"kind": "diminishing", "beta": 1e-4}, basis="random",
+                 schedule={"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0,
+                           "r0_tilde": 1.0}),
+    ], ids=["one-grid-point-diverges", "theorem3-random-basis"])
+    def test_two_workers_write_the_same_bytes(self, doc, tmp_path):
+        cfg = parse_config(doc)
+        run_experiment(cfg, jobs=1, out_dir=tmp_path / "serial")
+        run_experiment(cfg, jobs=2, out_dir=tmp_path / "pooled")
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == ["summary.csv", "trace_grid00.csv", "trace_grid01.csv"]
+        for name in names:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "pooled" / name).read_bytes()), name
+
+    def test_pool_is_never_larger_than_the_task_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = parse_config(base_doc())  # 2 grid points x 2 trials
+        serial = run_experiment(cfg, jobs=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        pooled = run_experiment(cfg, jobs=10_000)
+        assert sizes == [4]
+        _assert_same_summary(pooled, serial)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(parse_config(base_doc()), jobs=jobs)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc()))
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg_path), "--out", str(out), "--jobs", str(jobs)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
 
 class TestPlots:
     @pytest.fixture()
@@ -393,6 +471,25 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "periodic_alpha1", "--jobs", "abc"],
+        ["bounds", "--model", "periodic", "--sigma", "abc"],
+        [],
+        ["plot", "x.csv"],
+    ], ids=lambda a: " ".join(a) or "no-subcommand")
+    def test_bad_argument_is_one_error_line(self, argv, capsys):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
 
     def test_all_diverged_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

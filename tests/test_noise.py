@@ -97,8 +97,7 @@ class TestDiminishingNoise:
         assert np.all(np.abs(vals) <= bound + 1e-12)
 
     def test_vanishes_at_minimizer(self):
-        shifted = DiminishingNoise(beta=1.0, minimizer=np.array([1.0, -2.0]))
-        assert shifted.evaluate(np.array([1.0, -2.0])) == 0.0
+        assert DiminishingNoise(beta=1.0).evaluate(np.zeros(2)) == 0.0
 
     def test_beta_validated(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from dgs_opt import (
     build_gh_rule,
     dgs_gradient,
     diminishing_rate,
-    gd_step,
     identity_basis,
     power_sum_sqrt_objective,
     quadratic_objective,
@@ -119,12 +118,11 @@ def test_every_exported_name_resolves():
 
 class TestGdStep:
     def test_matches_explicit_update(self):
-        f = quadratic_objective(3)
-        cfg = DGSConfig(sigma=0.5, rule=build_gh_rule(4), basis=identity_basis(3))
         x = np.array([1.0, -2.0, 0.5])
-        stepped = gd_step(x, f, cfg, lam=0.1)
+        rec = run(make_run_config(quadratic_objective(3), rule=build_gh_rule(4),
+                                  step_size=0.1, max_iterations=1, initial_point=x))
         # estimator is exact on quadratics, so this is plain gradient descent
-        np.testing.assert_allclose(stepped, x - 0.1 * 2.0 * x, atol=1e-10)
+        np.testing.assert_allclose(rec.iterates[1], x - 0.1 * 2.0 * x, atol=1e-10)
 
 
 class TestRun:

@@ -10,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_perfbench_smoke_suite_passes():
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "suite.py"), "--smoke"],

@@ -47,11 +47,11 @@ class TestBases:
 
     def test_non_orthonormal_columns_rejected(self):
         with pytest.raises(ValueError):
-            DirectionBasis(dimension=2, columns=np.array([[1.0, 1.0], [0.0, 1.0]]))
+            DirectionBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            DirectionBasis(dimension=3, columns=np.eye(2))
+            DirectionBasis(np.eye(3)[:, :2])
 
 
 class TestDirectionalDerivative:
