@@ -477,6 +477,13 @@ def run_experiment(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    # before any trial runs, so a path that cannot be created costs no sweep
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise OutputError(f"cannot create output directory {out_path}: {e}") from e
     n_grid, trials = len(config.sigma_grid), config.trials
     tasks = [(g, t) for g in range(n_grid) for t in range(trials)]
     workers = min(jobs, len(tasks))
@@ -492,13 +499,6 @@ def run_experiment(
     eval_counts = np.zeros(n_grid, dtype=np.int64)
     dist_traces: list = []
     cos_traces: list = []
-
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        try:
-            out_path.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise OutputError(f"cannot create output directory {out_path}: {e}") from e
 
     for g in range(n_grid):
         grid_records = records[g * trials:(g + 1) * trials]

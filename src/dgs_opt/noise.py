@@ -43,7 +43,16 @@ class PeriodicNoise:
 
 @dataclass(frozen=True)
 class BandlimitedNoise:
-    """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0."""
+    """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0.
+
+    A C-ordered (n, d) batch computes the J sines of entry x_ri only where
+    x_ri differs, bit for bit, from x_(r-1)i in the row above, and reuses
+    them below. Along the identity basis a DGS node set moves one coordinate
+    per row, so most entries repeat; a random basis or stacked iterates
+    repeat none and take the plain formula. Either way every value has the
+    bits of the plain formula, as the sum runs over the same terms in the
+    same order.
+    """
 
     alpha0: float
     frequencies: np.ndarray  # (d, J)
@@ -57,8 +66,24 @@ class BandlimitedNoise:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        phases = _TWO_PI * x[..., None] * self.frequencies
-        return np.sin(phases).sum(axis=(-1, -2)) / self.frequencies.shape[1]
+        freqs = self.frequencies
+        # A single row has no row above to reuse. The sum below runs in x's
+        # memory order and the gathered sines are in C order, so only a
+        # C-ordered x keeps its bits through the gather.
+        if x.ndim == 2 and len(x) > 1 and x.flags.c_contiguous:
+            bits = x.view(np.uint64)  # so -0.0 and each NaN payload count as new
+            new = np.empty(x.shape, dtype=bool)
+            new[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            if not new.all():
+                rows, cols = np.nonzero(new)  # row-major, so ids grow down each column
+                sines = np.sin(_TWO_PI * x[rows, cols][:, None] * freqs[cols])
+                ids = np.zeros(x.shape, dtype=np.intp)
+                ids[rows, cols] = np.arange(len(rows))
+                np.maximum.accumulate(ids, axis=0, out=ids)  # the last new entry above
+                return np.take(sines, ids, axis=0).sum(axis=(-1, -2)) / freqs.shape[1]
+        phases = _TWO_PI * x[..., None] * freqs
+        return np.sin(phases).sum(axis=(-1, -2)) / freqs.shape[1]
 
 
 def sample_bandlimited(

@@ -129,13 +129,16 @@ def run(config: RunConfig) -> TrialRecord:
     estimates: list[np.ndarray] = []
     sigmas: list[float] = []
     status = "ok"
+    dgs = None
     for t in range(config.max_iterations + 1):
         sigma = sigma_at(config.schedule, t)
         sigmas.append(sigma)
         if t == config.max_iterations or sigma < SIGMA_FLOOR:
             break
+        if dgs is None or sigma != dgs.sigma:  # a new radius needs new node offsets
+            dgs = DGSConfig(sigma, config.rule, config.basis)
         try:
-            estimate = dgs_gradient(f, x, DGSConfig(sigma, config.rule, config.basis))
+            estimate = dgs_gradient(f, x, dgs)
         except EvaluationError:
             status = "diverged"
             break

@@ -87,9 +87,25 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
+def _gh_nodes(directions: np.ndarray, sigma: float, rule: GHRule) -> tuple:
+    """What a Gauss-Hermite estimate along each row xi of ``directions``
+    needs besides x and F: the node offsets sqrt(2) sigma v_m xi from x, as
+    one (k * M, d) array, direction-major; the coefficients w_m v_m; and the
+    factor sqrt(2) / (sqrt(pi) sigma)."""
+    k, d = directions.shape
+    offsets = _SQRT2 * sigma * rule.nodes[None, :, None] * directions[:, None, :]
+    return (offsets.reshape(k * rule.order, d), rule.weights * rule.nodes,
+            _SQRT2 / (_SQRT_PI * sigma))
+
+
 @dataclass(frozen=True)
 class DGSConfig:
-    """Smoothing radius, quadrature rule and direction basis for one estimate."""
+    """Smoothing radius, quadrature rule and direction basis for one estimate.
+
+    The node offsets and coefficients depend on these alone, so a config
+    builds them once, and every estimate made with it reuses them: reuse
+    one config for as long as the radius stays the same.
+    """
 
     sigma: float
     rule: GHRule
@@ -98,31 +114,21 @@ class DGSConfig:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # rows of the transposed basis are the directions xi_i
+        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns.T, self.sigma, self.rule))
 
 
-def _gh_derivatives(
-    f: Objective,
-    x: np.ndarray,
-    directions: np.ndarray,
-    sigma: float,
-    rule: GHRule,
-) -> np.ndarray:
-    """Smoothed directional derivatives at x along each row xi of
-    ``directions``: (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma
-    v_m xi) * sqrt(2) v_m, from len(directions) * rule.order evaluations."""
-    k, d = directions.shape
-    # points[i, m] = x + sqrt(2) sigma v_m xi_i
-    points = (
-        x[None, None, :]
-        + _SQRT2 * sigma * rule.nodes[None, :, None] * directions[:, None, :]
-    )
-    values = f.eval_batch(points.reshape(k * rule.order, d)).reshape(k, rule.order)
+def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
+    """Smoothed directional derivatives at x along each direction xi of
+    ``nodes`` (see _gh_nodes): (1 / (sqrt(pi) * sigma)) * sum_m w_m
+    F(x + sqrt(2) sigma v_m xi) * sqrt(2) v_m, from k * M evaluations."""
+    offsets, coefficients, scale = nodes
+    # x is added last, so each point has the bits of x + (sqrt(2) sigma v_m xi)
+    values = f.eval_batch(x + offsets).reshape(-1, len(coefficients))
     # einsum, not values @ coefficients: BLAS rounds a row of a
     # matrix-vector product differently depending on how many rows it is
     # given, and a direction's derivative should not depend on the others.
-    return np.einsum("km,m->k", values, rule.weights * rule.nodes) * (
-        _SQRT2 / (_SQRT_PI * sigma)
-    )
+    return np.einsum("km,m->k", values, coefficients) * scale
 
 
 def directional_derivative_gh(
@@ -140,7 +146,7 @@ def directional_derivative_gh(
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
-    return float(_gh_derivatives(f, x, xi[None, :], sigma, rule)[0])
+    return float(_gh_derivatives(f, x, _gh_nodes(xi[None, :], sigma, rule))[0])
 
 
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
@@ -148,15 +154,14 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     basis directions, mapped back to standard coordinates.
 
     Uses exactly M * d objective evaluations; evaluation and reduction order
-    are fixed, so the result is bit-reproducible.
+    are fixed, so the result is bit-reproducible, and the same whether the
+    config is new or reused.
     """
     x = np.asarray(x, dtype=float)
     d = config.basis.dimension
     if x.shape != (d,):
         raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-    # rows of the transposed basis are the directions xi_i
-    derivs = _gh_derivatives(f, x, config.basis.columns.T, config.sigma, config.rule)
-    return config.basis.columns @ derivs
+    return config.basis.columns @ _gh_derivatives(f, x, config._nodes)
 
 
 def gs_gradient_mc(

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import plain_bandlimited
 from dgs_opt import (
+    BandlimitedNoise,
     ConfigError,
     ExperimentConfig,
     OutputError,
@@ -234,6 +236,33 @@ class TestRunExperiment:
                             (lambda: emit_plot(small_summary, "convergence-curves", path), "plot")]:
             with pytest.raises(OutputError, match=f"cannot write {what} {re.escape(str(path))}"):
                 write()
+
+    def test_uncreatable_output_directory_fails_before_any_trial(self, tmp_path, monkeypatch):
+        calls = []
+        trial = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda *a: calls.append(a) or trial(*a))
+        path = tmp_path / "not-a-directory" / "out"
+        path.parent.write_text("")
+        with pytest.raises(OutputError, match="cannot create output directory"):
+            run_experiment(parse_config(base_doc()), out_dir=path)
+        assert calls == []
+
+    def test_bandlimited_csvs_match_the_plain_formula(self, tmp_path, monkeypatch):
+        # the identity basis is where BandlimitedNoise reuses repeated sines
+        cfg = parse_config(base_doc(noise={"kind": "bandlimited", "alpha0": 1.0},
+                                    quadrature_order=12, sigma_grid=[0.1, 1.0]))
+        run_experiment(cfg, out_dir=tmp_path / "kernel")
+        calls = []
+        monkeypatch.setattr(BandlimitedNoise, "evaluate",
+                            lambda noise, x: calls.append(x) or plain_bandlimited(noise, x))
+        run_experiment(cfg, out_dir=tmp_path / "plain")
+        assert calls
+        names = sorted(p.name for p in (tmp_path / "kernel").iterdir())
+        assert names == ["summary.csv", "trace_grid00.csv", "trace_grid01.csv"]
+        for name in names:
+            digests = {hashlib.sha256((tmp_path / side / name).read_bytes()).hexdigest()
+                       for side in ("kernel", "plain")}
+            assert len(digests) == 1, name
 
 
 def _assert_same_summary(a, b):

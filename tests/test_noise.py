@@ -2,15 +2,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import plain_bandlimited
 from dgs_opt import (
     BandlimitedNoise,
+    DGSConfig,
     DiminishingNoise,
+    Objective,
     PeriodicNoise,
+    build_gh_rule,
     closed_form_smoothed_sine_derivative,
+    dgs_gradient,
+    identity_basis,
     noise_only_objective,
     power_sum_sqrt_objective,
     quadratic_objective,
+    random_orthonormal_basis,
     sample_bandlimited,
 )
 from dgs_opt.noise import MIN_WAVELENGTH
@@ -86,6 +94,83 @@ class TestBandlimitedNoise:
         freqs = np.full((2, 3), 0.5)
         with pytest.raises(ValueError):
             BandlimitedNoise(alpha0=1.0, frequencies=freqs)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_NOISES = st.builds(sample_bandlimited, d=st.integers(1, 6),
+                    alpha0=st.sampled_from([0.1, 1.0, 1e3]),
+                    num_components=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(noise=_NOISES, order=st.integers(1, 64), log10_sigma=st.floats(-4.0, 2.0),
+       basis_seed=st.none() | st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_bandlimited_dgs_node_sets_match_the_plain_formula(noise, order, log10_sigma,
+                                                           basis_seed, seed):
+    # the points a DGS estimate evaluates: along the identity basis each row
+    # moves one coordinate of x, along a random one every coordinate
+    d = noise.frequencies.shape[0]
+    basis = (identity_basis(d) if basis_seed is None
+             else random_orthonormal_basis(d, basis_seed))
+    batches = []
+    capture = Objective(dimension=d, evaluate=lambda p: batches.append(p) or np.zeros(len(p)))
+    x = np.random.default_rng(seed).uniform(-20.0, 20.0, d)
+    dgs_gradient(capture, x, DGSConfig(10.0**log10_sigma, build_gh_rule(order), basis))
+    (points,) = batches
+    assert_same_bits(noise.evaluate(points), plain_bandlimited(noise, points))
+
+
+# bit patterns of +0, -0, +inf, -inf, and NaNs with three payloads or signs
+_SPECIALS = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                      0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                     dtype=np.uint64).view(float)
+
+
+@st.composite
+def _batches(draw, d):
+    """(n, d) points whose rows come from a pool of a few, so that runs of
+    repeated rows and repeated entries are common."""
+    pool_size = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(0, len(_SPECIALS) - 1),
+                      st.floats(-50.0, 50.0, allow_subnormal=True))
+    pool = np.empty((pool_size, d))
+    for i in range(pool_size):
+        for j in range(d):
+            e = draw(entry)
+            pool[i, j] = _SPECIALS[e] if isinstance(e, int) else e
+    return pool[draw(st.lists(st.integers(0, pool_size - 1), max_size=12))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), noise=_NOISES,
+       shape=st.sampled_from(["batch", "fortran-ordered batch", "row", "point"]))
+def test_bandlimited_batches_match_the_plain_formula(data, noise, shape):
+    points = data.draw(_batches(noise.frequencies.shape[0]))
+    if shape == "fortran-ordered batch":  # the plain formula sums in another order
+        points = np.asfortranarray(points)
+    elif shape == "row":  # (1, d), or (0, d) when the batch is empty
+        points = points[:1]
+    elif shape == "point":
+        if not len(points):
+            return
+        points = points[0]
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN
+        got = noise.evaluate(points)
+        want = plain_bandlimited(noise, points)
+    assert_same_bits(got, want)
+
+
+def test_bandlimited_signed_zeros_and_nan_payloads_match_the_plain_formula():
+    noise = sample_bandlimited(d=2, alpha0=1.0, num_components=3, seed=0)
+    points = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0],
+                       [_SPECIALS[4], 1.0], [_SPECIALS[5], 1.0], [_SPECIALS[5], 0.5]])
+    assert points.view(np.uint64)[6, 0] == 0x7FF8000000000001  # the payload survived
+    assert_same_bits(noise.evaluate(points), plain_bandlimited(noise, points))
 
 
 class TestDiminishingNoise:

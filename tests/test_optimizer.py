@@ -7,6 +7,7 @@ import dgs_opt
 from dgs_opt import (
     ConvexityConstants,
     DGSConfig,
+    EvaluationError,
     Objective,
     RunConfig,
     SigmaSchedule,
@@ -16,11 +17,13 @@ from dgs_opt import (
     identity_basis,
     power_sum_sqrt_objective,
     quadratic_objective,
+    random_orthonormal_basis,
     run,
+    sample_bandlimited,
     sigma_at,
     theorem3_schedule,
 )
-from dgs_opt.optimizer import SIGMA_FLOOR
+from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
@@ -288,3 +291,44 @@ def test_loop_records_no_column_per_step():
     rec = run(make_run_config(f, max_iterations=30))
     assert rec.iterations_run == 30
     assert calls == {"evaluate": 30 + 1, "true_gradient": 1}
+
+
+def _reference_steps(cfg):
+    """run's step loop with a new DGSConfig every step: (iterates, sigmas,
+    steps taken, status)."""
+    f = cfg.objective
+    x = np.array(cfg.initial_point, dtype=float)
+    iterates, sigmas = [x], []
+    for t in range(cfg.max_iterations + 1):
+        sigma = sigma_at(cfg.schedule, t)
+        sigmas.append(sigma)
+        if t == cfg.max_iterations or sigma < SIGMA_FLOOR:
+            return iterates, sigmas, t, "ok"
+        try:
+            estimate = dgs_gradient(f, x, DGSConfig(sigma, cfg.rule, cfg.basis))
+        except EvaluationError:
+            return iterates, sigmas, t, "diverged"
+        x = x - cfg.step_size * estimate
+        if not np.linalg.norm(x) <= DIVERGENCE_NORM:
+            return iterates, sigmas, t + 1, "diverged"
+        iterates.append(x)
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+@pytest.mark.parametrize("schedule", [
+    SigmaSchedule(0.3),
+    SigmaSchedule(0.3, switch_iteration=15, contraction=0.9),
+    theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5),
+], ids=["constant", "two-phase", "theorem3"])
+def test_run_reuses_a_config_per_radius_without_moving_a_bit(schedule, basis):
+    # run builds a new DGSConfig only when the radius changes
+    f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=8))
+    cfg = make_run_config(
+        f, schedule=schedule, rule=build_gh_rule(7), max_iterations=40,
+        basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
+    rec = run(cfg)
+    iterates, sigmas, steps, status = _reference_steps(cfg)
+    assert rec.iterates.tobytes() == np.array(iterates).tobytes()
+    assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
+    assert (rec.iterations_run, rec.status) == (steps, status)
+    _assert_per_step_columns(cfg, rec)

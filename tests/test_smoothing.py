@@ -12,6 +12,7 @@ from dgs_opt import (
     gs_gradient_mc,
     PeriodicNoise,
     identity_basis,
+    sample_bandlimited,
     power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
@@ -129,6 +130,18 @@ class TestDGSGradient:
         a = dgs_gradient(f, x, cfg)
         b = dgs_gradient(f, x, cfg)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("basis", [identity_basis(5), random_orthonormal_basis(5, 4)],
+                             ids=["identity", "random"])
+    def test_reused_config_matches_a_fresh_one_per_call(self, basis):
+        # a config builds its node offsets once; reusing it changes no bit
+        f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=2))
+        rule = build_gh_rule(40)
+        reused = DGSConfig(sigma=0.3, rule=rule, basis=basis)
+        for x in np.random.default_rng(6).uniform(-20.0, 20.0, size=(20, 5)):
+            got = dgs_gradient(f, x, reused)
+            want = dgs_gradient(f, x, DGSConfig(sigma=0.3, rule=rule, basis=basis))
+            assert got.tobytes() == want.tobytes()
 
     def test_wrong_point_shape_rejected(self):
         f = quadratic_objective(3)
