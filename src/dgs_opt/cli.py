@@ -12,8 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import theory
-from .harness import (ConfigError, OutputError, load_config, parse_config, read_sweep,
-                      run_experiment)
+from .harness import ConfigError, OutputError, load_config, read_sweep, run_experiment
 from .plotting import PLOT_KINDS, emit_plot
 from .quadrature import build_gh_rule
 
@@ -37,10 +36,7 @@ def _load_run_config(target: str):
     if path.exists():
         return load_config(path)
     if target in list_presets():
-        import json
-
-        doc = json.loads((_preset_dir() / f"{target}.json").read_text())
-        return parse_config(doc, where=f"preset {target}")
+        return load_config(_preset_dir() / f"{target}.json")
     raise ConfigError(
         f"{target!r} is neither a config file nor a preset "
         f"(presets: {', '.join(list_presets())})"

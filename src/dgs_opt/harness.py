@@ -41,18 +41,30 @@ class OutputError(OSError):
 _REQUIRED = object()
 
 
-def _field(mapping: dict, key: str, where: str, convert=lambda v: v, default=_REQUIRED):
-    """``convert(mapping[key])``, or ``default`` when the key is absent. A
-    missing required field, or a value ``convert`` rejects, is a
-    ConfigError that names the field."""
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field {key!r} in {where}")
-        return default
-    try:
-        return convert(mapping[key])
-    except (OverflowError, TypeError, ValueError) as e:  # int(inf) overflows
-        raise ConfigError(f"bad value for {key!r} in {where}: {e}") from e
+def _fields(mapping, table: dict, where: str) -> dict:
+    """The fields of a JSON object, converted by ``table`` (field ->
+    (converter, default or _REQUIRED)); an absent field takes its default.
+    A value that is not an object, a missing required field, a value a
+    converter rejects or an unknown field is a ConfigError that names it."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    fields = {}
+    for key, (convert, default) in table.items():
+        if key not in mapping:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required field {key!r} in {where}")
+            fields[key] = default
+            continue
+        try:
+            fields[key] = convert(mapping[key])
+        except ConfigError:  # from a section's own fields, already named
+            raise
+        except (OverflowError, TypeError, ValueError) as e:  # float(10**400) overflows
+            raise ConfigError(f"bad value for {key!r} in {where}: {e}") from e
+    unknown = set(mapping) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
+    return fields
 
 
 def _json(kind: type):
@@ -64,46 +76,89 @@ def _json(kind: type):
     return check
 
 
+def _number(kind: type, positive: bool = False):
+    """Converter of a JSON number, never a bool, to ``kind``. An int field
+    takes an integer or an integral float such as 2.0."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"must be a number, got {type(value).__name__}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"must be an integer, got {value}")
+        number = kind(value)
+        if positive and not number > 0:
+            raise ValueError(f"must be positive, got {number}")
+        return number
+    return convert
+
+
+_FLOAT = _number(float)
+_INT = _number(int)
+
+
+def _one_of(choices):
+    """Converter that passes one of ``choices`` through unchanged."""
+    def convert(value):
+        if value not in tuple(choices):  # a tuple compares a list instead of hashing it
+            raise ValueError(f"must be one of {'/'.join(choices)}, got {value!r}")
+        return value
+    return convert
+
+
 def _box(value) -> tuple[float, float]:
-    lo, hi = (float(v) for v in value)
+    lo, hi = map(_FLOAT, _json(list)(value))
     if not lo < hi:
         raise ValueError("must be [lo, hi] with lo < hi")
     return lo, hi
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
+def _sigma_grid(value) -> tuple[float, ...]:
+    grid = tuple(map(_number(float, positive=True), _json(list)(value)))
+    if not grid:
+        raise ValueError("must not be empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("must be strictly increasing")
+    return grid
+
+
+def _section(name: str, kinds: dict):
+    """Converter of the config section ``name``: a JSON object whose
+    ``kind`` picks the table of its other fields. Gives (kind, fields)."""
+    def convert(section):
+        kind = section.get("kind") if isinstance(section, dict) else None
+        table = kinds[kind] if kind in tuple(kinds) else {}
+        fields = _fields(section, {"kind": (_one_of(kinds), _REQUIRED), **table}, name)
+        return fields.pop("kind"), fields
+    return convert
 
 
 # Per section kind: field -> (converter, default or _REQUIRED).
-_OBJECTIVE_FIELDS = {"dimension": (int, 5), "box": (_box, _REQUIRED)}
+_OBJECTIVE_FIELDS = {"dimension": (_number(int, positive=True), 5), "box": (_box, _REQUIRED)}
 _OBJECTIVE_KINDS = {"power-sum-sqrt": _OBJECTIVE_FIELDS, "quadratic": _OBJECTIVE_FIELDS}
 _NOISE_KINDS = {
-    "periodic": {"alpha": (float, _REQUIRED), "amplitude": (float, 1.0)},
-    "bandlimited": {"alpha0": (float, _REQUIRED), "num_components": (int, 20)},
-    "diminishing": {"beta": (float, 1.0), "carrier_frequency": (float, 1.0)},
+    "periodic": {"alpha": (_FLOAT, _REQUIRED), "amplitude": (_FLOAT, 1.0)},
+    "bandlimited": {"alpha0": (_FLOAT, _REQUIRED), "num_components": (_INT, 20)},
+    "diminishing": {"beta": (_FLOAT, 1.0), "carrier_frequency": (_FLOAT, 1.0)},
     "none": {},
 }
 _SCHEDULE_KINDS = {
     "constant": {},
-    "two-phase-decay": {"switch_iteration": (int, 5000), "contraction": (float, 0.999)},
-    "theorem3": {key: (float, _REQUIRED) for key in ("beta", "L", "tau", "r0_tilde")},
+    "two-phase-decay": {"switch_iteration": (_INT, 5000), "contraction": (_FLOAT, 0.999)},
+    "theorem3": {key: (_FLOAT, _REQUIRED) for key in ("beta", "L", "tau", "r0_tilde")},
 }
-
-
-def _section(doc: dict, name: str, kinds: dict, where: str) -> tuple[str, dict]:
-    """(kind, converted fields) of the config section ``name``."""
-    section = _field(doc, name, where, _json(dict))
-    kind = _field(section, "kind", name)
-    if kind not in tuple(kinds):  # a tuple compares a list kind instead of hashing it
-        raise ConfigError(f"{name}.kind must be one of {'/'.join(kinds)}, got {kind!r}")
-    _reject_unknown(section, {"kind", *kinds[kind]}, name)
-    return kind, {
-        key: _field(section, key, name, convert, default)
-        for key, (convert, default) in kinds[kind].items()
-    }
+_TOP_FIELDS = {
+    "experiment": (_one_of(EXPERIMENT_IDS), _REQUIRED),
+    "objective": (_section("objective", _OBJECTIVE_KINDS), _REQUIRED),
+    "noise": (_section("noise", _NOISE_KINDS), _REQUIRED),
+    "step_size": (_number(float, positive=True), _REQUIRED),
+    "sigma_grid": (_sigma_grid, _REQUIRED),
+    "trials": (_number(int, positive=True), _REQUIRED),
+    "max_iterations": (_number(int, positive=True), _REQUIRED),
+    "schedule": (_section("schedule", _SCHEDULE_KINDS), _REQUIRED),
+    "quadrature_order": (lambda v: build_gh_rule(_INT(v)).order, 5),
+    "basis": (_one_of(("identity", "random")), "identity"),
+    "master_seed": (_INT, _REQUIRED),
+    "output_dir": (_json(str), None),
+}
 
 
 @dataclass(frozen=True)
@@ -133,7 +188,7 @@ class ExperimentConfig:
         if self.noise_kind == "bandlimited":
             return 1.0 / self.noise_params["alpha0"]
         if self.noise_kind == "diminishing":
-            return 1.0 / self.noise_params.get("carrier_frequency", 1.0)
+            return 1.0 / self.noise_params["carrier_frequency"]
         return 1.0
 
     @property
@@ -145,71 +200,13 @@ class ExperimentConfig:
 
 def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     """Validate a config document. Every bad value ends in a ConfigError:
-    types are converted field by field, and the noise, schedule and
-    quadrature constructors the sweep will call check their own ranges."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    _reject_unknown(
-        doc,
-        {
-            "experiment", "objective", "noise", "step_size", "sigma_grid",
-            "trials", "max_iterations", "schedule", "quadrature_order",
-            "basis", "master_seed", "output_dir",
-        },
-        where,
-    )
-    experiment = _field(doc, "experiment", where)
-    if experiment not in EXPERIMENT_IDS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENT_IDS}, got {experiment!r}")
-
-    obj_kind, obj = _section(doc, "objective", _OBJECTIVE_KINDS, where)
-    if obj["dimension"] < 1:
-        raise ConfigError("objective.dimension must be >= 1")
-    noise_kind, params = _section(doc, "noise", _NOISE_KINDS, where)
-
-    step_size = _field(doc, "step_size", where, float)
-    if not step_size > 0:
-        raise ConfigError("step_size must be positive")
-
-    grid = _field(doc, "sigma_grid", where, lambda v: tuple(float(s) for s in v))
-    if not grid or not all(s > 0 for s in grid):
-        raise ConfigError("sigma_grid values must be positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("sigma_grid must be strictly increasing")
-
-    trials = _field(doc, "trials", where, int)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    max_iterations = _field(doc, "max_iterations", where, int)
-    if max_iterations < 1:
-        raise ConfigError("max_iterations must be >= 1")
-
-    sched_kind, sched_params = _section(doc, "schedule", _SCHEDULE_KINDS, where)
-
-    basis = doc.get("basis", "identity")
-    if basis not in ("identity", "random"):
-        raise ConfigError(f"basis must be 'identity' or 'random', got {basis!r}")
-
-    config = ExperimentConfig(
-        experiment=experiment,
-        objective_kind=obj_kind,
-        dimension=obj["dimension"],
-        box=obj["box"],
-        noise_kind=noise_kind,
-        noise_params=params,
-        step_size=step_size,
-        sigma_grid=grid,
-        trials=trials,
-        max_iterations=max_iterations,
-        schedule_kind=sched_kind,
-        schedule_params=sched_params,
-        quadrature_order=_field(
-            doc, "quadrature_order", where, lambda v: build_gh_rule(int(v)).order, 5
-        ),
-        basis=basis,
-        master_seed=_field(doc, "master_seed", where, int),
-        output_dir=_field(doc, "output_dir", where, _json(str), None),
-    )
+    each field is checked by its table's converter, and the noise, schedule
+    and quadrature constructors the sweep will call check their own ranges."""
+    fields = _fields(doc, _TOP_FIELDS, where)
+    fields["objective_kind"], objective = fields.pop("objective")
+    fields["noise_kind"], fields["noise_params"] = fields.pop("noise")
+    fields["schedule_kind"], fields["schedule_params"] = fields.pop("schedule")
+    config = ExperimentConfig(**fields, **objective)
     try:
         build_noise(config)
         _build_schedule(config, config.sigma_values[0])
@@ -307,7 +304,7 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
     return run(run_config)
 
 
-@dataclass
+@dataclass(eq=False)
 class PlotData:
     """What the plots draw of a sweep, per sigma grid point: the mean final
     distance and the mean distance and cosine traces (None where no trace
@@ -319,7 +316,7 @@ class PlotData:
     mean_cosine_traces: list
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepSummary(PlotData):
     """Aggregates over the trials at each sigma grid point of a live run.
 

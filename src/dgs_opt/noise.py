@@ -41,7 +41,7 @@ class PeriodicNoise:
         return self.amplitude * np.sin(_TWO_PI * self.alpha * x).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandlimitedNoise:
     """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0.
 

@@ -63,7 +63,7 @@ def sigma_at(schedule: SigmaSchedule, t: int) -> float:
     return schedule.sigma0 * schedule.contraction ** (t - schedule.switch_iteration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     objective: Objective
     rule: GHRule
@@ -80,7 +80,7 @@ class RunConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialRecord:
     """Per-iteration trace of one seeded run.
 

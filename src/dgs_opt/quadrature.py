@@ -1,6 +1,7 @@
 """Gauss-Hermite quadrature rules (physicists' weight exp(-v^2))."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.polynomial.hermite import hermgauss
 MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GHRule:
     """An M-point Gauss-Hermite rule.
 
@@ -28,13 +29,16 @@ class GHRule:
         return float(np.dot(self.weights, integrand(self.nodes)))
 
 
+@functools.lru_cache(typed=True)
 def build_gh_rule(order: int) -> GHRule:
     """Build the Gauss-Hermite rule of the given order.
 
     ``numpy.polynomial.hermite.hermgauss`` takes the nodes as eigenvalues of
     the symmetric Jacobi matrix (Golub & Welsch, 1969), polishes them with
     one Newton step and symmetrizes nodes and weights. Deterministic: the
-    same order always yields a bit-identical rule. Orders above MAX_ORDER
+    same order always yields a bit-identical rule, built once per process:
+    later calls return the same object, whose arrays are read-only. An order
+    that is not an int, such as 5.0, is a TypeError. Orders above MAX_ORDER
     are rejected; their smallest weights underflow to irrelevance at double
     precision.
     """

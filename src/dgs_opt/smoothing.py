@@ -26,7 +26,7 @@ class EvaluationError(RuntimeError):
         super().__init__(f"objective returned a non-finite value at {self.point}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Objective:
     """A noisy observable F(x) = phi(x) + eps(x).
 
@@ -52,7 +52,7 @@ class Objective:
         return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionBasis:
     """d orthonormal unit vectors, stored as the columns of a d x d matrix."""
 
@@ -98,7 +98,7 @@ def _gh_nodes(directions: np.ndarray, sigma: float, rule: GHRule) -> tuple:
             _SQRT2 / (_SQRT_PI * sigma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DGSConfig:
     """Smoothing radius, quadrature rule and direction basis for one estimate.
 

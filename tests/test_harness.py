@@ -4,6 +4,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +14,22 @@ from conftest import plain_bandlimited
 from dgs_opt import (
     BandlimitedNoise,
     ConfigError,
+    DGSConfig,
     ExperimentConfig,
     OutputError,
+    RunConfig,
+    SigmaSchedule,
+    build_gh_rule,
     emit_csv,
     emit_plot,
+    identity_basis,
     load_config,
     mix_seed,
     parse_config,
     render_plot,
     run_experiment,
     run_trial,
+    sample_bandlimited,
 )
 from dgs_opt import harness
 from dgs_opt.cli import main as cli_main
@@ -97,6 +104,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    def test_string_grid_and_box_are_not_arrays(self):
+        with pytest.raises(ConfigError, match="sigma_grid.*must be a list"):
+            parse_config(base_doc(sigma_grid="12"))
+        with pytest.raises(ConfigError, match="box.*must be a list"):
+            parse_config(base_doc(objective={"kind": "power-sum-sqrt", "box": "01"}))
+
+    def test_integral_float_is_an_int(self):
+        cfg = parse_config(base_doc(trials=2.0, quadrature_order=7.0))
+        assert (cfg.trials, cfg.quadrature_order) == (2, 7)
+        assert type(cfg.trials) is int and type(cfg.quadrature_order) is int
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("A config pins everything")[1].split("```json\n")[1]
+        cfg = parse_config(json.loads(example.split("```")[0]))
+        assert cfg.experiment == "periodic-sweep"
+
 
 # Valid configs that between them carry every section field of every kind.
 _FUZZ_DOCS = [
@@ -151,6 +175,33 @@ def test_any_json_field_value_parses_or_is_config_error(target, value):
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
+
+
+def _run_config():
+    return RunConfig(objective=harness.build_objective(parse_config(base_doc())),
+                     rule=build_gh_rule(5), basis=identity_basis(3), step_size=0.1,
+                     max_iterations=1, schedule=SigmaSchedule(1.0), initial_point=np.zeros(3))
+
+
+# Every public dataclass with an array field, each from a factory.
+_ARRAY_DATACLASSES = {
+    "GHRule": lambda: build_gh_rule(5),
+    "DirectionBasis": lambda: identity_basis(3),
+    "BandlimitedNoise": lambda: sample_bandlimited(3, 1.0, 4, seed=0),
+    "DGSConfig": lambda: DGSConfig(1.0, build_gh_rule(5), identity_basis(3)),
+    "TrialRecord": lambda: run_trial(parse_config(base_doc(max_iterations=3)), 0, 0),
+    "PlotData": lambda: PlotData((1.0,), np.zeros(1), [np.zeros(2)], [np.zeros(2)]),
+    "SweepSummary": lambda: run_experiment(parse_config(base_doc(trials=1, max_iterations=3))),
+    "Objective": lambda: harness.build_objective(parse_config(base_doc())),
+    "RunConfig": _run_config,
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_DATACLASSES.values(), ids=_ARRAY_DATACLASSES.keys())
+def test_equality_is_a_bool(make):
+    value = make()
+    assert (value == value) is True
+    assert isinstance(value == copy.deepcopy(value), bool)
 
 
 class TestSeedMixing:
@@ -481,6 +532,11 @@ class TestCli:
             {"schedule": {"kind": "linear"}},
             {"sigma_grid": [1.0, 1e999]},
             {"noise": {"kind": "periodic", "alpha": 1e-300}, "sigma_grid": [1e10]},
+            {"sigma_grid": "12"},
+            {"objective": {"kind": "power-sum-sqrt", "dimension": 3, "box": "01"}},
+            {"trials": 2.7},
+            {"quadrature_order": 5.5},
+            {"step_size": True},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
@@ -489,7 +545,8 @@ class TestCli:
             "noise-not-object", "output-dir-int", "dimension-inf", "trials-inf",
             "max-iterations-inf", "seed-inf", "alpha0-inf", "theorem3-overflow",
             "theorem3-rho-above-1", "schedule-kind-linear", "sigma-grid-inf",
-            "sigma-overflow",
+            "sigma-overflow", "sigma-grid-string", "box-string", "trials-2.7", "order-5.5",
+            "step-size-true",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):

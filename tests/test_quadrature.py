@@ -77,6 +77,16 @@ class TestBuildRule:
         with pytest.raises(ValueError):
             build_gh_rule(order)
 
+    def test_built_once_per_order(self):
+        assert build_gh_rule(7) is build_gh_rule(7)
+        assert build_gh_rule(7) is not build_gh_rule(8)
+
+    def test_float_order_is_a_type_error_even_once_cached(self):
+        build_gh_rule(5)
+        build_gh_rule(np.int64(5))  # an untyped cache would answer 5.0 with this rule
+        with pytest.raises(TypeError):
+            build_gh_rule(5.0)
+
 
 class TestExactness:
     def test_polynomial_exactness_up_to_degree_2m_minus_1(self):
