@@ -18,6 +18,10 @@ SIGMA_FLOOR = 1e-14
 # Iterates beyond this norm abort the run before NaN cascades set in.
 DIVERGENCE_NORM = 1e12
 
+# Bytes of node offsets built per block of radii. run reads its radii this
+# many bytes of offsets ahead, so the block holds fewer steps as M * d^2 grows.
+_BLOCK_BYTES = 1 << 15
+
 
 @dataclass(frozen=True)
 class SigmaSchedule:
@@ -110,14 +114,53 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
+def _block_steps(order: int, dimension: int) -> int:
+    """Steps per block of radii: as many radii as _BLOCK_BYTES of node
+    offsets hold, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * order * dimension * dimension))
+
+
+def _step_radii(config: RunConfig):
+    """Yield (sigma_t, the DGSConfig step t uses) for t = 0, 1, ..., and last
+    (sigma_t, None) at max_iterations or at the first radius below SIGMA_FLOOR.
+
+    Radii come from sigma_at, read one block of steps ahead. Each block
+    builds configs only for radii that differ from the step before's, all
+    in one broadcast, so a constant radius is built once per trial and a
+    decaying one once per block.
+    """
+    steps = _block_steps(config.rule.order, config.basis.dimension)
+    dgs = None
+    for start in range(0, config.max_iterations, steps):
+        block = []
+        for t in range(start, min(start + steps, config.max_iterations)):
+            sigma = sigma_at(config.schedule, t)
+            if sigma < SIGMA_FLOOR:  # the radii after it may underflow to 0: never built
+                break
+            block.append(sigma)
+        before = [dgs.sigma if dgs else None] + block  # each step's previous radius
+        new = [s for s, b in zip(block, before) if s != b]
+        built = iter(DGSConfig._stack(new, config.rule, config.basis) if new else ())
+        for s in block:
+            if dgs is None or s != dgs.sigma:
+                dgs = next(built)
+            yield s, dgs
+        if sigma < SIGMA_FLOOR:
+            yield sigma, None
+            return
+    yield sigma_at(config.schedule, config.max_iterations), None
+
+
 def run(config: RunConfig) -> TrialRecord:
     """Iterate the DGS descent scheme from the initial point, recording each step.
 
     Deterministic given the config. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
-    always ends at the last finite iterate. The loop only steps: the objective
-    and cosine columns are computed after it, from the stacked iterates.
+    always ends at the last finite iterate. The loop only steps: its radii
+    and their configs come a block at a time from _step_radii, and the
+    objective and cosine columns are computed after it, from the stacked
+    iterates.
     """
     f = config.objective
     d = f.dimension
@@ -129,14 +172,10 @@ def run(config: RunConfig) -> TrialRecord:
     estimates: list[np.ndarray] = []
     sigmas: list[float] = []
     status = "ok"
-    dgs = None
-    for t in range(config.max_iterations + 1):
-        sigma = sigma_at(config.schedule, t)
+    for t, (sigma, dgs) in enumerate(_step_radii(config)):
         sigmas.append(sigma)
-        if t == config.max_iterations or sigma < SIGMA_FLOOR:
+        if dgs is None:
             break
-        if dgs is None or sigma != dgs.sigma:  # a new radius needs new node offsets
-            dgs = DGSConfig(sigma, config.rule, config.basis)
         try:
             estimate = dgs_gradient(f, x, dgs)
         except EvaluationError:

@@ -87,15 +87,20 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(directions: np.ndarray, sigma: float, rule: GHRule) -> tuple:
+def _gh_nodes(directions: np.ndarray, sigmas: list, rule: GHRule) -> list:
     """What a Gauss-Hermite estimate along each row xi of ``directions``
-    needs besides x and F: the node offsets sqrt(2) sigma v_m xi from x, as
-    one (k * M, d) array, direction-major; the coefficients w_m v_m; and the
-    factor sqrt(2) / (sqrt(pi) sigma)."""
+    needs besides x and F, for each radius sigma in ``sigmas``: the node
+    offsets sqrt(2) sigma v_m xi from x, as one (k * M, d) array,
+    direction-major; the coefficients w_m v_m; and the factor
+    sqrt(2) / (sqrt(pi) sigma). One broadcast serves the whole stack of
+    radii, with the association of a single radius, so each gets the same
+    bits on its own or in a stack."""
     k, d = directions.shape
-    offsets = _SQRT2 * sigma * rule.nodes[None, :, None] * directions[:, None, :]
-    return (offsets.reshape(k * rule.order, d), rule.weights * rule.nodes,
-            _SQRT2 / (_SQRT_PI * sigma))
+    sigmas = np.asarray(sigmas, dtype=float)
+    offsets = ((_SQRT2 * sigmas)[:, None, None, None] * rule.nodes[None, None, :, None]
+               * directions[None, :, None, :]).reshape(len(sigmas), k * rule.order, d)
+    coefficients = rule.weights * rule.nodes
+    return [(o, coefficients, scale) for o, scale in zip(offsets, _SQRT2 / (_SQRT_PI * sigmas))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +108,9 @@ class DGSConfig:
     """Smoothing radius, quadrature rule and direction basis for one estimate.
 
     The node offsets and coefficients depend on these alone, so a config
-    builds them once, and every estimate made with it reuses them: reuse
-    one config for as long as the radius stays the same.
+    builds them once, and every estimate made with it reuses them. A config
+    built directly is the stack-of-one case of ``_gh_nodes``; ``_stack``
+    builds the configs of many radii in one broadcast, with the same bits.
     """
 
     sigma: float
@@ -115,7 +121,20 @@ class DGSConfig:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         # rows of the transposed basis are the directions xi_i
-        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns.T, self.sigma, self.rule))
+        object.__setattr__(self, "_nodes",
+                           _gh_nodes(self.basis.columns.T, [self.sigma], self.rule)[0])
+
+    @classmethod
+    def _stack(cls, sigmas: list, rule: GHRule, basis: DirectionBasis) -> list:
+        """One config per radius in ``sigmas`` (each > 0), with the bits
+        ``DGSConfig(sigma, rule, basis)`` has, and their node offsets built
+        in one broadcast."""
+        configs = []
+        for sigma, nodes in zip(sigmas, _gh_nodes(basis.columns.T, sigmas, rule)):
+            config = object.__new__(cls)
+            config.__dict__.update(sigma=sigma, rule=rule, basis=basis, _nodes=nodes)
+            configs.append(config)
+        return configs
 
 
 def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
@@ -146,7 +165,7 @@ def directional_derivative_gh(
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
-    return float(_gh_derivatives(f, x, _gh_nodes(xi[None, :], sigma, rule))[0])
+    return float(_gh_derivatives(f, x, _gh_nodes(xi[None, :], [sigma], rule)[0])[0])
 
 
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dgs_opt import (
     sigma_at,
     theorem3_schedule,
 )
-from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR
+from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR, _block_steps
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
@@ -332,3 +333,79 @@ def test_run_reuses_a_config_per_radius_without_moving_a_bit(schedule, basis):
     assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
     assert (rec.iterations_run, rec.status) == (steps, status)
     _assert_per_step_columns(cfg, rec)
+
+
+_STEPS = _block_steps(7, 5)  # steps per block of radii for the cases below
+_THEOREM3 = theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5)
+_BLOCK_CASES = {
+    # name: (run config overrides, status, where the stop step lands among the blocks)
+    "constant-over-3-blocks": (dict(schedule=SigmaSchedule(0.3), max_iterations=3 * _STEPS + 5),
+                               "ok", lambda t: t > 3 * _STEPS),
+    "two-phase-switch-mid-block": (
+        dict(schedule=SigmaSchedule(0.3, _STEPS + _STEPS // 2, 0.9), max_iterations=4 * _STEPS),
+        "ok", lambda t: t == 4 * _STEPS),
+    "two-phase-switch-on-block-edge": (
+        dict(schedule=SigmaSchedule(0.3, 2 * _STEPS, 0.9), max_iterations=4 * _STEPS),
+        "ok", lambda t: t == 4 * _STEPS),
+    # 1,740 steps to the floor, as in the theorem3-cli benchmark workload
+    "theorem3-to-floor": (dict(schedule=_THEOREM3, max_iterations=2000),
+                          "ok", lambda t: t == 1740 and t % _STEPS != 0),
+    "norm-blowup-mid-block": (
+        dict(objective=quadratic_objective(5), step_size=1.05, max_iterations=2000,
+             schedule=SigmaSchedule(0.3, _STEPS // 2, 0.99)),
+        "diverged", lambda t: t > _STEPS and t % _STEPS != 0),
+    "nonfinite-eval-mid-block": (
+        dict(objective=_concave_capped(5), initial_point=np.ones(5), step_size=0.1,
+             max_iterations=2000, schedule=_THEOREM3),
+        "diverged", lambda t: t % _STEPS != 0),
+}
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_run_reads_radii_in_blocks_without_moving_a_bit(case, basis):
+    # run reads its radii and builds their node offsets a block of steps
+    # ahead; stops and radius changes inside a block or on its edge keep
+    # the per-step reference's bits, steps and status
+    overrides, want_status, stop_lands = _BLOCK_CASES[case]
+    kwargs = dict(objective=power_sum_sqrt_objective(
+        5, noise=sample_bandlimited(5, 1.0, 20, seed=8)), rule=build_gh_rule(7),
+        basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
+    cfg = make_run_config(**{**kwargs, **overrides})
+    rec = run(cfg)
+    iterates, sigmas, steps, status = _reference_steps(cfg)
+    assert stop_lands(rec.iterations_run) and rec.status == want_status
+    assert rec.iterates.tobytes() == np.array(iterates).tobytes()
+    assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
+    assert (rec.iterations_run, rec.status) == (steps, status)
+
+
+def test_radius_underflowing_inside_a_block_stops_at_the_floor():
+    # the radii after the floor stop underflow to 0; reading them a block
+    # ahead must neither build their nodes nor warn
+    cfg = make_run_config(quadratic_objective(3), schedule=SigmaSchedule(1.0, 0, 1e-10),
+                          max_iterations=500)
+    assert sigma_at(cfg.schedule, 40) == 0.0 and 40 < _block_steps(5, 3)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rec = run(cfg)
+    assert (rec.iterations_run, rec.status) == (2, "ok")
+    assert rec.sigmas.tolist() == [1.0, 1e-10, sigma_at(cfg.schedule, 2)]
+    iterates, sigmas, steps, status = _reference_steps(cfg)
+    assert rec.iterates.tobytes() == np.array(iterates).tobytes()
+    assert (steps, status) == (2, "ok")
+
+
+@pytest.mark.parametrize("case,builds", [("constant-over-3-blocks", 1),
+                                         ("theorem3-to-floor", -(-1740 // _STEPS))])
+def test_node_offsets_are_built_once_per_block_of_new_radii(case, builds, monkeypatch):
+    # a constant radius is built once per trial, a decaying one once per
+    # block, and no step builds its own
+    calls = []
+    gh_nodes = dgs_opt.smoothing._gh_nodes
+    monkeypatch.setattr(dgs_opt.smoothing, "_gh_nodes",
+                        lambda *args: calls.append(len(args[1])) or gh_nodes(*args))
+    cfg = make_run_config(quadratic_objective(5), rule=build_gh_rule(7), **_BLOCK_CASES[case][0])
+    rec = run(cfg)
+    assert len(calls) == builds
+    assert sum(calls) == len(set(rec.sigmas[:-1]))

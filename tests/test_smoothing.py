@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgs_opt import (
     DGSConfig,
@@ -148,6 +149,32 @@ class TestDGSGradient:
         cfg = DGSConfig(sigma=0.3, rule=build_gh_rule(5), basis=identity_basis(3))
         with pytest.raises(ValueError):
             dgs_gradient(f, np.zeros(4), cfg)
+
+
+_RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(order=st.integers(1, 64), d=st.integers(1, 17),
+       basis_seed=st.none() | st.integers(0, 2**32 - 1),
+       sigmas=st.lists(_RADII, min_size=1, max_size=5).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
+def test_stacked_configs_have_each_radius_bits(order, d, basis_seed, sigmas):
+    # one broadcast builds a block of radii; repeats included, each radius
+    # gets the node offsets, coefficients and factor it gets on its own, and
+    # those of the single-radius expression the stack replaced
+    rule = build_gh_rule(order)
+    basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
+    directions = basis.columns.T
+    for sigma, config in zip(sigmas, DGSConfig._stack(sigmas, rule, basis)):
+        assert (config.sigma, config.rule, config.basis) == (sigma, rule, basis)
+        offsets, coefficients, scale = config._nodes
+        for want in (DGSConfig(sigma, rule, basis)._nodes,
+                     (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
+                      rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))):
+            assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
+            assert coefficients.tobytes() == want[1].tobytes()
+            assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
 
 
 class TestMonteCarloBaseline:
