@@ -42,7 +42,6 @@ from .theory import (
     bandlimited_noise_grad_bound,
     contraction_rate,
     delta_sigma_periodic,
-    diminishing_beta_condition,
     diminishing_noise_grad_bound,
     diminishing_rate,
     gh_error_term,
@@ -60,9 +59,8 @@ __all__ = [
     "RunConfig", "SigmaSchedule", "SweepSummary", "TrialRecord",
     "bandlimited_noise_grad_bound", "build_gh_rule",
     "closed_form_smoothed_sine_derivative", "contraction_rate",
-    "delta_sigma_periodic", "dgs_gradient", "diminishing_beta_condition",
-    "diminishing_noise_grad_bound", "diminishing_rate",
-    "directional_derivative_gh", "emit_csv", "emit_plot",
+    "delta_sigma_periodic", "dgs_gradient", "diminishing_noise_grad_bound",
+    "diminishing_rate", "directional_derivative_gh", "emit_csv", "emit_plot",
     "gh_error_term", "gs_gradient_mc", "identity_basis", "load_config",
     "mix_seed", "noise_only_objective", "parse_config",
     "periodic_noise_grad_bound", "power_sum_sqrt_objective",

@@ -12,7 +12,6 @@ import contextlib
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -484,6 +483,8 @@ def run_experiment(
     n_grid, trials = len(config.sigma_grid), config.trials
     tasks = [(g, t) for g in range(n_grid) for t in range(trials)]
     workers = min(jobs, len(tasks))
+    if workers > 1:  # imported only here, so `import dgs_opt` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         # run_trial is looked up per sweep, as perfbench's Capture replaces it
         records = list((pool.map if pool else map)(

@@ -38,7 +38,7 @@ class PeriodicNoise:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        return self.amplitude * np.sin(_TWO_PI * self.alpha * x).sum(axis=-1)
+        return self.amplitude * np.add.reduce(np.sin(_TWO_PI * self.alpha * x), -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +81,9 @@ class BandlimitedNoise:
                 ids = np.zeros(x.shape, dtype=np.intp)
                 ids[rows, cols] = np.arange(len(rows))
                 np.maximum.accumulate(ids, axis=0, out=ids)  # the last new entry above
-                return np.take(sines, ids, axis=0).sum(axis=(-1, -2)) / freqs.shape[1]
+                return np.add.reduce(np.take(sines, ids, axis=0), (-1, -2)) / freqs.shape[1]
         phases = _TWO_PI * x[..., None] * freqs
-        return np.sin(phases).sum(axis=(-1, -2)) / freqs.shape[1]
+        return np.add.reduce(np.sin(phases), (-1, -2)) / freqs.shape[1]
 
 
 def sample_bandlimited(
@@ -130,9 +130,7 @@ class DiminishingNoise:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        return self.beta * (x**2 * np.sin(_TWO_PI * self.carrier_frequency * x)).sum(
-            axis=-1
-        )
+        return self.beta * np.add.reduce(x**2 * np.sin(_TWO_PI * self.carrier_frequency * x), -1)
 
 
 def closed_form_smoothed_sine_derivative(
@@ -165,7 +163,7 @@ def power_sum_sqrt_objective(d: int = 5, noise=None) -> Objective:
 
     def phi(x):
         x = np.asarray(x, dtype=float)
-        return np.sqrt((np.abs(x) ** powers).sum(axis=-1))
+        return np.sqrt(np.add.reduce(np.abs(x) ** powers, -1))
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -188,7 +186,7 @@ def quadratic_objective(d: int = 5, noise=None) -> Objective:
 
     def phi(x):
         x = np.asarray(x, dtype=float)
-        return (x**2).sum(axis=-1)
+        return np.add.reduce(x**2, -1)
 
     def grad(x):
         return 2.0 * np.asarray(x, dtype=float)

@@ -46,14 +46,14 @@ def theorem3_schedule(beta: float, L: float, tau: float, r0_tilde: float,
                       dimension: int) -> SigmaSchedule:
     """Theorem 3's exact-convergence radius sqrt(beta) / (8 L^2 pi +
     4 beta^2)^(1/4) * rho^(t/2) * r0_tilde, rho = diminishing_rate(...).
-    Raises ValueError unless 0 < tau <= L, beta > 0 and rho < 1 (rho < 1
-    exactly when diminishing_beta_condition holds)."""
+    Raises ValueError unless 0 < tau <= L, beta > 0 and rho < 1, the
+    smallness condition on beta (see diminishing_rate)."""
     constants = ConvexityConstants(L=L, tau=tau)  # raises unless 0 < tau <= L
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     rho = diminishing_rate(constants, beta, dimension)
     if not rho < 1.0:
-        raise ValueError(f"rho = {rho:.6g} >= 1: beta fails diminishing_beta_condition")
+        raise ValueError(f"rho = {rho:.6g} >= 1: beta is too large for the decaying radius")
     scale = np.sqrt(beta) / (8.0 * L**2 * np.pi + 4.0 * beta**2) ** 0.25
     return SigmaSchedule(float(scale * r0_tilde), 0, float(np.sqrt(rho)))
 
@@ -120,35 +120,38 @@ def _block_steps(order: int, dimension: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * order * dimension * dimension))
 
 
-def _step_radii(config: RunConfig):
-    """Yield (sigma_t, the DGSConfig step t uses) for t = 0, 1, ..., and last
-    (sigma_t, None) at max_iterations or at the first radius below SIGMA_FLOOR.
+def _radii(config: RunConfig, start: int, previous) -> list:
+    """(sigma_t, the DGSConfig step t uses) for each step t of the block
+    from ``start``. The trial's last entry is (sigma_t, None): at
+    max_iterations, in a block of its own, or at the first radius below
+    SIGMA_FLOOR, which ends its block.
 
-    Radii come from sigma_at, read one block of steps ahead. Each block
-    builds configs only for radii that differ from the step before's, all
-    in one broadcast, so a constant radius is built once per trial and a
-    decaying one once per block.
+    Radii come from sigma_at, read one block of steps ahead. A block builds
+    configs only for radii it does not share with ``previous``, the config
+    of the step before, all in one broadcast, so a constant radius is built
+    once per trial and a decaying one once per block.
     """
+    if start == config.max_iterations:
+        return [(sigma_at(config.schedule, start), None)]
+    schedule = config.schedule
     steps = _block_steps(config.rule.order, config.basis.dimension)
-    dgs = None
-    for start in range(0, config.max_iterations, steps):
-        block = []
-        for t in range(start, min(start + steps, config.max_iterations)):
-            sigma = sigma_at(config.schedule, t)
+    sigmas: list[float] = []
+    new: list[float] = []  # the radii that differ from the step before's
+    which: list[int] = []  # each step's index into configs below; -1 at the floor
+    last = previous.sigma if previous else None
+    for t in range(start, min(start + steps, config.max_iterations)):
+        sigma = sigma_at(schedule, t)
+        sigmas.append(sigma)
+        if sigma != last:  # a radius below the floor differs from every radius before it
             if sigma < SIGMA_FLOOR:  # the radii after it may underflow to 0: never built
+                which.append(-1)
                 break
-            block.append(sigma)
-        before = [dgs.sigma if dgs else None] + block  # each step's previous radius
-        new = [s for s, b in zip(block, before) if s != b]
-        built = iter(DGSConfig._stack(new, config.rule, config.basis) if new else ())
-        for s in block:
-            if dgs is None or s != dgs.sigma:
-                dgs = next(built)
-            yield s, dgs
-        if sigma < SIGMA_FLOOR:
-            yield sigma, None
-            return
-    yield sigma_at(config.schedule, config.max_iterations), None
+            new.append(sigma)
+            last = sigma
+        which.append(len(new))
+    # previous, the configs of the new radii in one broadcast, and the floor's None
+    configs = [previous, *(DGSConfig._stack(new, config.rule, config.basis) if new else ()), None]
+    return list(zip(sigmas, map(configs.__getitem__, which)))
 
 
 def run(config: RunConfig) -> TrialRecord:
@@ -157,13 +160,14 @@ def run(config: RunConfig) -> TrialRecord:
     Deterministic given the config. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
-    always ends at the last finite iterate. The loop only steps: its radii
-    and their configs come a block at a time from _step_radii, and the
+    always ends at the last finite iterate. The loop only steps: it takes
+    its radii and their configs a block at a time from _radii, and the
     objective and cosine columns are computed after it, from the stacked
     iterates.
     """
     f = config.objective
     d = f.dimension
+    step_size = config.step_size
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
@@ -171,25 +175,29 @@ def run(config: RunConfig) -> TrialRecord:
     iterates = [x]
     estimates: list[np.ndarray] = []
     sigmas: list[float] = []
-    status = "ok"
-    for t, (sigma, dgs) in enumerate(_step_radii(config)):
-        sigmas.append(sigma)
-        if dgs is None:
-            break
-        try:
-            estimate = dgs_gradient(f, x, dgs)
-        except EvaluationError:
-            status = "diverged"
-            break
-        x_next = x - config.step_size * estimate
-        # the decision of np.linalg.norm(x_next) > DIVERGENCE_NORM, NaN and inf included
-        if not math.sqrt(x_next.dot(x_next)) <= DIVERGENCE_NORM:
-            status = "diverged"
-            t += 1  # the blown-up step was taken, so it counts
-            break
-        x = x_next
-        iterates.append(x)
-        estimates.append(estimate)
+    t, dgs, status = 0, None, None
+    while status is None:
+        # one block of radii per pass; dgs, the last step's config, is reused
+        # by the next block while the radius stays the same
+        for sigma, dgs in _radii(config, t, dgs):
+            sigmas.append(sigma)
+            if dgs is None:
+                status = "ok"
+                break
+            try:
+                estimate = dgs_gradient(f, x, dgs)
+            except EvaluationError:
+                status = "diverged"
+                break
+            x_next = x - step_size * estimate
+            t += 1  # a step that blows up was taken, so it counts
+            # the decision of np.linalg.norm(x_next) > DIVERGENCE_NORM, NaN and inf included
+            if not math.sqrt(x_next.dot(x_next)) <= DIVERGENCE_NORM:
+                status = "diverged"
+                break
+            x = x_next
+            iterates.append(x)
+            estimates.append(estimate)
 
     iterates = np.array(iterates)
     estimates = np.reshape(estimates, (-1, d))

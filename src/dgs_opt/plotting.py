@@ -60,10 +60,19 @@ class _Axis:
         self.px_lo, self.px_hi = px_lo, px_hi
         self.log = log
 
-    def __call__(self, v: float) -> float:
-        v = math.log10(v) if self.log else v
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.px_lo + frac * (self.px_hi - self.px_lo)
+    def __call__(self, vs) -> np.ndarray:
+        """The pixel of each value in ``vs``: px_lo + (v - lo) / (hi - lo) *
+        (px_hi - px_lo), one numpy operation at a time in that order, so each
+        has the bits the scalar expression gives it."""
+        # math.log10 per value: np.log10 may differ from it by an ulp
+        v = np.asarray([math.log10(u) for u in vs] if self.log else vs, dtype=float)
+        return self.px_lo + (v - self.lo) / (self.hi - self.lo) * (self.px_hi - self.px_lo)
+
+
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """SVG "x,y x,y ..." of pixel coordinates, each formatted as _num does,
+    in one formatting pass."""
+    return " ".join(["%.6g,%.6g"] * len(px)) % tuple(np.column_stack([px, py]).ravel().tolist())
 
 
 def _tick_label(v: float, log: bool) -> str:
@@ -134,8 +143,7 @@ def _render(
         f'height="{_HEIGHT - _BOTTOM - _TOP}" fill="none" stroke="black"/>'
     )
     x_ticks = _log_ticks(x_min, x_max) if x_log else _linear_ticks(x_min, x_max)
-    for t in x_ticks:
-        px = ax(t)
+    for t, px in zip(x_ticks, ax(x_ticks)):
         if not _LEFT - 0.5 <= px <= _WIDTH - _RIGHT + 0.5:
             continue
         out.append(
@@ -147,8 +155,7 @@ def _render(
             f"{_tick_label(t, x_log)}</text>"
         )
     y_ticks = _log_ticks(y_min, y_max) if y_log else _linear_ticks(y_min, y_max)
-    for t in y_ticks:
-        py = ay(t)
+    for t, py in zip(y_ticks, ay(y_ticks)):
         if not _TOP - 0.5 <= py <= _HEIGHT - _BOTTOM + 0.5:
             continue
         out.append(
@@ -169,15 +176,14 @@ def _render(
 
     for k, (label, xs, ys) in enumerate(clipped):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{_num(ax(x))},{_num(ay(y))}" for x, y in zip(xs, ys))
+        px, py = ax(xs), ay(ys)
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>'
         )
         if markers:
-            for x, y in zip(xs, ys):
-                out.append(
-                    f'<circle cx="{_num(ax(x))}" cy="{_num(ay(y))}" r="3" fill="{color}"/>'
-                )
+            for x, y in zip(px, py):
+                out.append(f'<circle cx="{_num(x)}" cy="{_num(y)}" r="3" fill="{color}"/>')
         ly = _TOP + 15 + 18 * k
         lx = _WIDTH - _RIGHT + 12
         out.append(

@@ -7,6 +7,7 @@ the globally-smoothed gradient is kept as the baseline.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +25,14 @@ class EvaluationError(RuntimeError):
     def __init__(self, point: np.ndarray):
         self.point = np.array(point, copy=True)
         super().__init__(f"objective returned a non-finite value at {self.point}")
+
+
+def _raise_at_nonfinite(points: np.ndarray, values: np.ndarray) -> None:
+    """Raise EvaluationError at the first row of ``points`` whose value is
+    not finite, if there is one."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError(points[int(np.argmax(bad))])
 
 
 @dataclass(eq=False)
@@ -47,8 +56,7 @@ class Objective:
         """Evaluate at every row of an (n, d) array, in row order; raises
         EvaluationError at the first row whose value is not finite."""
         values = np.asarray(self.evaluate(points), dtype=float)
-        if not np.isfinite(values).all():
-            raise EvaluationError(points[int(np.argmax(~np.isfinite(values)))])
+        _raise_at_nonfinite(points, values)
         return values
 
 
@@ -87,20 +95,25 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(directions: np.ndarray, sigmas: list, rule: GHRule) -> list:
+def _gh_nodes(directions: np.ndarray, sigmas: list, rule: GHRule) -> tuple:
     """What a Gauss-Hermite estimate along each row xi of ``directions``
     needs besides x and F, for each radius sigma in ``sigmas``: the node
-    offsets sqrt(2) sigma v_m xi from x, as one (k * M, d) array,
-    direction-major; the coefficients w_m v_m; and the factor
-    sqrt(2) / (sqrt(pi) sigma). One broadcast serves the whole stack of
-    radii, with the association of a single radius, so each gets the same
-    bits on its own or in a stack."""
+    offsets sqrt(2) sigma v_m xi from x, as an (n, k * M, d) array whose
+    slice i is radius i's, direction-major; the coefficients w_m v_m; and
+    the factors sqrt(2) / (sqrt(pi) sigma), as a list of floats. One
+    broadcast serves the whole stack of radii, with the association of a
+    single radius, so each gets the same bits on its own or in a stack."""
     k, d = directions.shape
     sigmas = np.asarray(sigmas, dtype=float)
     offsets = ((_SQRT2 * sigmas)[:, None, None, None] * rule.nodes[None, None, :, None]
                * directions[None, :, None, :]).reshape(len(sigmas), k * rule.order, d)
-    coefficients = rule.weights * rule.nodes
-    return [(o, coefficients, scale) for o, scale in zip(offsets, _SQRT2 / (_SQRT_PI * sigmas))]
+    return offsets, rule.weights * rule.nodes, (_SQRT2 / (_SQRT_PI * sigmas)).tolist()
+
+
+def _gh_nodes_of(directions: np.ndarray, sigma: float, rule: GHRule) -> tuple:
+    """_gh_nodes of one radius: its offsets, the coefficients and its factor."""
+    offsets, coefficients, factors = _gh_nodes(directions, [sigma], rule)
+    return offsets[0], coefficients, factors[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,32 +135,46 @@ class DGSConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         # rows of the transposed basis are the directions xi_i
         object.__setattr__(self, "_nodes",
-                           _gh_nodes(self.basis.columns.T, [self.sigma], self.rule)[0])
+                           _gh_nodes_of(self.basis.columns.T, self.sigma, self.rule))
 
     @classmethod
     def _stack(cls, sigmas: list, rule: GHRule, basis: DirectionBasis) -> list:
         """One config per radius in ``sigmas`` (each > 0), with the bits
         ``DGSConfig(sigma, rule, basis)`` has, and their node offsets built
         in one broadcast."""
+        offsets, coefficients, factors = _gh_nodes(basis.columns.T, sigmas, rule)
         configs = []
-        for sigma, nodes in zip(sigmas, _gh_nodes(basis.columns.T, sigmas, rule)):
+        for sigma, o, factor in zip(sigmas, offsets, factors):
             config = object.__new__(cls)
-            config.__dict__.update(sigma=sigma, rule=rule, basis=basis, _nodes=nodes)
+            fields = config.__dict__  # filled key by key: cheaper than update(**fields)
+            fields["sigma"], fields["rule"], fields["basis"] = sigma, rule, basis
+            fields["_nodes"] = (o, coefficients, factor)
             configs.append(config)
         return configs
 
 
 def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     """Smoothed directional derivatives at x along each direction xi of
-    ``nodes`` (see _gh_nodes): (1 / (sqrt(pi) * sigma)) * sum_m w_m
-    F(x + sqrt(2) sigma v_m xi) * sqrt(2) v_m, from k * M evaluations."""
+    ``nodes`` (a radius's offsets, coefficients and factor from _gh_nodes):
+    (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma v_m xi) *
+    sqrt(2) v_m, from one evaluation of k * M points. Raises EvaluationError
+    at the first point whose value is not finite, as Objective.eval_batch."""
     offsets, coefficients, scale = nodes
     # x is added last, so each point has the bits of x + (sqrt(2) sigma v_m xi)
-    values = f.eval_batch(x + offsets).reshape(-1, len(coefficients))
+    points = x + offsets
+    values = np.asarray(f.evaluate(points), dtype=float)
     # einsum, not values @ coefficients: BLAS rounds a row of a
     # matrix-vector product differently depending on how many rows it is
     # given, and a direction's derivative should not depend on the others.
-    return np.einsum("km,m->k", values, coefficients) * scale
+    derivatives = np.einsum("km,m->k", values.reshape(-1, len(coefficients)),
+                            coefficients) * scale
+    # A value that is not finite makes its derivative, and so their sum, not
+    # finite: a zero coefficient gives 0 * inf = NaN. Only then are the
+    # values scanned; a sum that merely overflowed finds none. Python floats
+    # overflow to inf without numpy's warning.
+    if not math.isfinite(sum(derivatives.tolist())):
+        _raise_at_nonfinite(points, values)
+    return derivatives
 
 
 def directional_derivative_gh(
@@ -165,7 +192,7 @@ def directional_derivative_gh(
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
-    return float(_gh_derivatives(f, x, _gh_nodes(xi[None, :], [sigma], rule)[0])[0])
+    return float(_gh_derivatives(f, x, _gh_nodes_of(xi[None, :], sigma, rule))[0])
 
 
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
@@ -177,10 +204,10 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     config is new or reused.
     """
     x = np.asarray(x, dtype=float)
-    d = config.basis.dimension
-    if x.shape != (d,):
-        raise ValueError(f"point has shape {x.shape}, expected ({d},)")
-    return config.basis.columns @ _gh_derivatives(f, x, config._nodes)
+    columns = config.basis.columns
+    if x.shape != columns.shape[1:]:
+        raise ValueError(f"point has shape {x.shape}, expected ({len(columns)},)")
+    return columns @ _gh_derivatives(f, x, config._nodes)
 
 
 def gs_gradient_mc(

@@ -190,20 +190,11 @@ def contraction_rate(constants: ConvexityConstants, lam: float) -> float:
 def diminishing_rate(constants: ConvexityConstants, beta: float, d: int) -> float:
     """Per-step squared-distance factor of the decaying-radius scheme:
     (1 - tau/(32L)) + (6/(tau L) + 3/(8 L^2)) d beta sqrt(2 L^2 pi + beta^2) / pi.
-    Below 1 exactly when the diminishing-noise smallness condition holds."""
+    Below 1 exactly when the noise envelope's curvature meets the smallness
+    condition of the exact-convergence guarantee,
+    beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau)."""
     L, tau = constants.L, constants.tau
     return (1.0 - tau / (32.0 * L)) + (
         6.0 / (tau * L) + 3.0 / (8.0 * L**2)
     ) * d * beta * math.sqrt(2.0 * L**2 * math.pi + beta**2) / math.pi
 
-
-def diminishing_beta_condition(
-    constants: ConvexityConstants, beta: float, d: int
-) -> bool:
-    """Smallness condition on the noise envelope curvature required for the
-    exact-convergence guarantee:
-    beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau)."""
-    L, tau = constants.L, constants.tau
-    lhs = beta * math.sqrt(2.0 * L**2 * math.pi + beta**2)
-    rhs = (math.pi / (32.0 * d)) * 8.0 * tau**2 * L / (48.0 * L + 3.0 * tau)
-    return lhs < rhs

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import hashlib
 import json
@@ -31,7 +32,7 @@ from dgs_opt import (
     run_trial,
     sample_bandlimited,
 )
-from dgs_opt import harness
+from dgs_opt import harness, plotting
 from dgs_opt.cli import main as cli_main
 from dgs_opt.harness import (SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep,
                              write_trace_csv)
@@ -362,7 +363,8 @@ class TestExecutor:
 
         cfg = parse_config(base_doc())  # 2 grid points x 2 trials
         serial = run_experiment(cfg, jobs=1)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        # run_experiment imports the pool class where it uses it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         pooled = run_experiment(cfg, jobs=10_000)
         assert sizes == [4]
         _assert_same_summary(pooled, serial)
@@ -413,6 +415,68 @@ class TestPlots:
                          mean_dist_traces=[None], mean_cosine_traces=[None])
         with pytest.raises(ValueError, match="nothing to plot"):
             render_plot(empty, "convergence-curves")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(log=st.booleans(), data=st.data())
+    def test_axis_and_points_match_the_per_point_oracle(self, log, data):
+        # every pixel has the bits of the scalar expression, and every point
+        # the string _num gives it, on linear and log axes spanning the data,
+        # as _render's do, a single value included
+        values = st.floats(1e-16, 1e16) if log else st.floats(-1e12, 1e12)
+        px_lo, px_hi = data.draw(st.sampled_from([(75, 630), (445, 30)]))
+        xs = data.draw(st.lists(values, min_size=1, max_size=60))
+        ys = data.draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+        lo, hi = min(xs + ys), max(xs + ys)
+        axis = plotting._Axis(lo, hi, px_lo, px_hi, log)
+        px, py = axis(xs), axis(ys)
+        scalar = _ScalarAxis(lo, hi, px_lo, px_hi, log)
+        want_x, want_y = scalar(xs), scalar(ys)
+        assert px.tobytes() == np.array(want_x).tobytes()
+        assert py.tobytes() == np.array(want_y).tobytes()
+        assert plotting._points(px, py) == _scalar_points(want_x, want_y)
+
+    @pytest.mark.parametrize("kind", plotting.PLOT_KINDS)
+    @pytest.mark.parametrize("sweep", ["small", "theorem3-read-back"])
+    def test_render_matches_the_per_point_oracle_on_sweep_traces(
+            self, sweep, kind, summary, theorem3_read_back, monkeypatch):
+        data = summary if sweep == "small" else theorem3_read_back
+        got = render_plot(data, kind)
+        monkeypatch.setattr(plotting, "_Axis", _ScalarAxis)
+        monkeypatch.setattr(plotting, "_points", _scalar_points)
+        assert render_plot(data, kind) == got
+
+
+class _ScalarAxis(plotting._Axis):
+    """_Axis as it mapped one value at a time: the reference for its
+    vectorised mapping."""
+
+    def __call__(self, vs):
+        def one(v):
+            v = math.log10(v) if self.log else v
+            frac = (v - self.lo) / (self.hi - self.lo)
+            return self.px_lo + frac * (self.px_hi - self.px_lo)
+        return [one(v) for v in vs]
+
+
+def _scalar_points(px, py):
+    """_points as it formatted one point at a time."""
+    return " ".join(f"{plotting._num(x)},{plotting._num(y)}" for x, y in zip(px, py))
+
+
+@pytest.fixture(scope="module")
+def theorem3_read_back(tmp_path_factory):
+    """PlotData read back from a theorem3 sweep's CSVs: every trial stops at
+    the sigma floor after 1,740 steps, so each trace has 1,741 points."""
+    out = tmp_path_factory.mktemp("theorem3")
+    doc = base_doc(objective={"kind": "quadratic", "dimension": 5, "box": [-5, 5]},
+                   noise={"kind": "diminishing", "beta": 1e-4}, step_size=0.005,
+                   sigma_grid=[0.5, 1.0], trials=1, max_iterations=2000, basis="random",
+                   schedule={"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0,
+                             "r0_tilde": 1.0})
+    run_experiment(parse_config(doc), out_dir=out)
+    data = read_sweep(out / "summary.csv")
+    assert [len(t) for t in data.mean_dist_traces] == [1741, 1741]
+    return data
 
 
 class TestCli:
@@ -633,3 +697,11 @@ class TestCli:
         assert cli_main(["bounds", "--model", "periodic", "--alpha", "1", "--sigma", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "noise_gradient_bound" in out and "recommended_sigma" in out
+
+    @pytest.mark.parametrize("beta,rate,holds", [("0.001", "0.9814662854", True),
+                                                 ("0.01", "1.095913105", False)])
+    def test_bounds_diminishing_prints_the_rate_and_whether_it_is_below_one(
+            self, beta, rate, holds, capsys):
+        assert cli_main(["bounds", "--model", "diminishing", "--beta", beta]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"per_step_rate        = {rate}", f"beta_condition_holds = {holds}"]

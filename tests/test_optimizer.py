@@ -294,6 +294,19 @@ def test_loop_records_no_column_per_step():
     assert calls == {"evaluate": 30 + 1, "true_gradient": 1}
 
 
+def test_evaluate_is_called_once_per_step_also_on_the_step_that_raises():
+    # a step evaluates its node set once; its finiteness test scans the
+    # values it already holds, so the step that raises makes no second call
+    calls = []
+    f = _concave_capped(3)
+    evaluate = f.evaluate
+    f.evaluate = lambda points: calls.append(len(points)) or evaluate(points)
+    rec = run(make_run_config(f, initial_point=np.ones(3), step_size=0.1, max_iterations=200))
+    assert rec.status == "diverged" and rec.iterations_run < 200
+    # each step taken, the step that raised, then the objective column
+    assert calls == [5 * 3] * (rec.iterations_run + 1) + [rec.iterations_run + 1]
+
+
 def _reference_steps(cfg):
     """run's step loop with a new DGSConfig every step: (iterates, sigmas,
     steps taken, status)."""

@@ -177,6 +177,77 @@ def test_stacked_configs_have_each_radius_bits(order, d, basis_seed, sigmas):
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
 
 
+_INJECTED = st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300, 1e308])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(order=st.integers(1, 9), d=st.integers(1, 6),
+       basis_seed=st.none() | st.integers(0, 2**32 - 1), data=st.data())
+def test_nonfinite_value_raises_where_eval_batch_does(order, d, basis_seed, data):
+    # dgs_gradient scans the values only when the dot of its derivatives is
+    # not finite. Values are replaced at any node, the zero-coefficient
+    # middle node of an odd M included, by inf, -inf, NaN or finite values
+    # large enough to overflow that dot: it raises exactly where
+    # Objective.eval_batch on the same points does, at the same point, and
+    # otherwise returns the bits of the estimate made from eval_batch.
+    rule = build_gh_rule(order)
+    basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
+    sigma = 0.7
+    config = DGSConfig(sigma, rule, basis)
+    x = np.linspace(-1.0, 2.0, d)
+    n = order * d
+    injected = data.draw(st.dictionaries(st.integers(0, n - 1), _INJECTED, max_size=3))
+    if order % 2 and data.draw(st.booleans()):  # a middle node, whose coefficient is 0
+        injected[data.draw(st.integers(0, d - 1)) * order + order // 2] = data.draw(_INJECTED)
+    plain = quadratic_objective(d)
+
+    def evaluate(points):
+        values = np.array(plain.evaluate(points), dtype=float)
+        for i, v in injected.items():
+            values[i] = v
+        return values
+
+    f = Objective(dimension=d, evaluate=evaluate)
+    points = x + config._nodes[0]
+    try:
+        values = f.eval_batch(points)
+    except EvaluationError as err:
+        with pytest.raises(EvaluationError) as got:
+            dgs_gradient(f, x, config)
+        first = min(i for i, v in injected.items() if not np.isfinite(v))
+        assert got.value.point.tobytes() == err.point.tobytes() == points[first].tobytes()
+        return
+    scale = np.sqrt(2.0) / (np.sqrt(np.pi) * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 overflows the sums
+        want = basis.columns @ (np.einsum("km,m->k", values.reshape(d, order),
+                                          rule.weights * rule.nodes) * scale)
+        got = dgs_gradient(f, x, config)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [None, "first", "middle"])
+def test_evaluate_is_called_once_per_estimate_also_when_it_raises(bad):
+    # the finiteness test reuses the values it has: no second evaluation
+    calls = []
+    order, d = 5, 3
+
+    def evaluate(points):
+        calls.append(len(points))
+        values = (np.asarray(points) ** 2).sum(axis=-1)
+        if bad is not None:
+            values[0 if bad == "first" else order + order // 2] = np.nan
+        return values
+
+    f = Objective(dimension=d, evaluate=evaluate)
+    config = DGSConfig(0.5, build_gh_rule(order), random_orthonormal_basis(d, 1))
+    if bad is None:
+        dgs_gradient(f, np.ones(d), config)
+    else:
+        with pytest.raises(EvaluationError):
+            dgs_gradient(f, np.ones(d), config)
+    assert calls == [order * d]
+
+
 class TestMonteCarloBaseline:
     def test_deterministic_given_seed(self):
         f = quadratic_objective(4)

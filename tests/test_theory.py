@@ -8,7 +8,6 @@ from dgs_opt import (
     bandlimited_noise_grad_bound,
     contraction_rate,
     delta_sigma_periodic,
-    diminishing_beta_condition,
     diminishing_noise_grad_bound,
     diminishing_rate,
     gh_error_term,
@@ -151,10 +150,18 @@ class TestDiscrepancyAndRates:
         )
 
     def test_beta_condition_matches_rate_below_one(self):
-        # the smallness predicate is exactly "rate < 1"
-        for beta in (1e-4, 1e-3, 2e-3, 5e-3, 1e-2, 0.1, 1.0):
-            holds = diminishing_beta_condition(LT, beta, 5)
-            assert holds == (diminishing_rate(LT, beta, 5) < 1.0)
+        # the rate is below 1 exactly when beta meets the smallness condition
+        # beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) 8 tau^2 L / (48 L + 3 tau)
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            L = float(rng.uniform(0.1, 10.0))
+            tau = float(rng.uniform(0.05, 1.0)) * L
+            d = int(rng.integers(1, 50))
+            beta = 10.0 ** float(rng.uniform(-8.0, 1.0))
+            holds = beta * math.sqrt(2.0 * L**2 * math.pi + beta**2) < (
+                math.pi / (32.0 * d) * 8.0 * tau**2 * L / (48.0 * L + 3.0 * tau))
+            constants = ConvexityConstants(L=L, tau=tau)
+            assert holds == (diminishing_rate(constants, beta, d) < 1.0), (L, tau, d, beta)
 
     def test_rate_increases_with_beta_and_dimension(self):
         assert diminishing_rate(LT, 0.01, 5) > diminishing_rate(LT, 0.001, 5)

@@ -1,4 +1,6 @@
-"""The project's pytest settings, checked by running pytest on a scratch file."""
+"""The project's tooling, each part checked in a fresh interpreter: its pytest
+settings, run on a scratch file, and what a cold `import dgs_opt` loads."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,14 @@ def test_misspelt_marker_fails_collection(tmp_path):
     )
     assert done.returncode != 0
     assert "'slwo' not found in `markers` configuration option" in done.stdout
+
+
+def test_import_loads_no_process_pool():
+    # run_experiment imports its process pool only when it runs one, so a
+    # cold start does not pay for concurrent.futures.process and multiprocessing
+    code = ("import sys, dgs_opt; print(sorted(m for m in sys.modules if m == "
+            "'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
