@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import theory
 from .harness import ConfigError, OutputError, load_config, read_sweep, run_experiment
-from .plotting import PLOT_KINDS, emit_plot
+from .plotting import PLOT_KINDS, PLOT_TRACES, emit_plot
 from .quadrature import build_gh_rule
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    data = read_sweep(args.summary)
+    data = read_sweep(args.summary, PLOT_TRACES[args.kind])
     try:
         emit_plot(data, args.kind, args.out)
     except ValueError as e:

@@ -307,12 +307,12 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
 class PlotData:
     """What the plots draw of a sweep, per sigma grid point: the mean final
     distance and the mean distance and cosine traces (None where no trace
-    is drawn)."""
+    is drawn). A trace field is None as a whole when it was not read."""
 
     sigmas: tuple[float, ...]
     mean_final_dist: np.ndarray
-    mean_dist_traces: list
-    mean_cosine_traces: list
+    mean_dist_traces: Optional[list]
+    mean_cosine_traces: Optional[list]
 
 
 @dataclass(eq=False)
@@ -335,31 +335,33 @@ class SweepSummary(PlotData):
         return int(self.trials_ok[g]) > 0
 
 
-def mean_traces(dists, cosines) -> tuple[np.ndarray, np.ndarray]:
-    """Mean distance trace and NaN-skipping mean cosine trace over trials.
-
-    Each trial's trace is padded with its last value to the longest trace
-    given first, so trials that stopped early hold their final value.
-    """
-    length = max(map(len, dists))
-
-    def pad(trace):
-        return np.pad(np.asarray(trace, dtype=float), (0, length - len(trace)), mode="edge")
-
+def mean_trace(traces, mean=np.mean) -> np.ndarray:
+    """Mean over trials of one trace, taken by ``mean`` (np.nanmean skips
+    NaN). Each trial's trace is padded with its last value to the longest
+    trace given, so trials that stopped early hold their final value."""
+    length = max(map(len, traces))
+    padded = [np.pad(np.asarray(t, dtype=float), (0, length - len(t)), mode="edge")
+              for t in traces]
     with warnings.catch_warnings():
-        # the final row is NaN in every trial; the all-NaN mean is fine
+        # the final cosine is NaN in every trial; the all-NaN mean is fine
         warnings.simplefilter("ignore", RuntimeWarning)
-        return (
-            np.mean([pad(t) for t in dists], axis=0),
-            np.nanmean([pad(t) for t in cosines], axis=0),
-        )
+        return mean(padded, axis=0)
+
+
+# Each trace a sweep averages per grid point, by its PlotData field: the
+# trace CSV column it is read back from, the TrialRecord array it is
+# averaged from, and the mean that averages it.
+TRACES = {
+    "mean_dist_traces": ("dist", "distances", np.mean),
+    "mean_cosine_traces": ("cosine_sim", "cosine_similarities", np.nanmean),
+}
 
 
 # --- result files ------------------------------------------------------------
 
-# The columns read back to plot a sweep, with the type each must parse as.
+# The summary columns read back to plot a sweep, with the type each must
+# parse as.
 _SUMMARY_PLOT_COLUMNS = {"sigma": float, "mean_final_dist": float, "trials_ok": int}
-_TRACE_PLOT_COLUMNS = {"trial": int, "dist": float, "cosine_sim": float}
 
 
 def _formatted(values) -> list[str]:
@@ -433,32 +435,35 @@ def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
         raise ConfigError(f"malformed {what} {path}: {e}") from e
 
 
-def read_sweep(summary_csv) -> PlotData:
+def read_sweep(summary_csv, traces=tuple(TRACES)) -> PlotData:
     """What the plots draw, read back from a sweep's ``summary.csv`` and the
-    trace CSVs next to it. Grid points where every trial diverged (trials_ok
-    0) or without a trace file get no traces; the trace means cover every
-    trial in the file, in any row order, each padded to the longest."""
+    trace CSVs next to it. ``traces`` names the PlotData trace fields to
+    read (see TRACES); only the ``trial`` column and their columns of each
+    trace CSV are parsed, no trace CSV is opened when it is empty, and a
+    field not named is None. Grid points where every trial diverged
+    (trials_ok 0) or without a trace file get no traces; the trace means
+    cover every trial in the file, in any row order, each padded to the
+    longest."""
     path = Path(summary_csv)
     summary = _read_columns(path, "summary CSV", _SUMMARY_PLOT_COLUMNS)
     if not len(summary):
         raise ConfigError(f"{path} is not a sweep summary CSV")
-    dist_traces: list = []
-    cos_traces: list = []
+    columns = {"trial": int, **{TRACES[name][0]: float for name in traces}}
+    means: dict = {name: [] for name in traces}
     for g, ok in enumerate(summary["trials_ok"]):
         trace_path = _trace_path(path.parent, g)
-        rows = (_read_columns(trace_path, "trace CSV", _TRACE_PLOT_COLUMNS)
-                if ok > 0 and trace_path.exists() else ())
-        dist = cos = None
+        rows = (_read_columns(trace_path, "trace CSV", columns)
+                if means and ok > 0 and trace_path.exists() else ())
         if len(rows):
             rows = rows[np.argsort(rows["trial"], kind="stable")]
             starts = np.flatnonzero(np.diff(rows["trial"])) + 1
-            dist, cos = mean_traces(np.split(rows["dist"], starts),
-                                    np.split(rows["cosine_sim"], starts))
-        dist_traces.append(dist)
-        cos_traces.append(cos)
+        for name, field_means in means.items():
+            column, _, mean = TRACES[name]
+            field_means.append(mean_trace(np.split(rows[column], starts), mean)
+                               if len(rows) else None)
     return PlotData(sigmas=tuple(summary["sigma"].tolist()),
                     mean_final_dist=np.array(summary["mean_final_dist"]),
-                    mean_dist_traces=dist_traces, mean_cosine_traces=cos_traces)
+                    **{name: means.get(name) for name in TRACES})
 
 
 def run_experiment(
@@ -495,8 +500,7 @@ def run_experiment(
     mean_obj = np.full(n_grid, np.nan)
     ok_counts = np.zeros(n_grid, dtype=int)
     eval_counts = np.zeros(n_grid, dtype=np.int64)
-    dist_traces: list = []
-    cos_traces: list = []
+    means: dict = {name: [] for name in TRACES}
 
     for g in range(n_grid):
         grid_records = records[g * trials:(g + 1) * trials]
@@ -506,17 +510,15 @@ def run_experiment(
         ok_counts[g] = len(ok)
         eval_counts[g] = sum(rec.evaluation_count for rec in grid_records)
         if not ok:
-            dist_traces.append(None)
-            cos_traces.append(None)
+            for field_means in means.values():
+                field_means.append(None)
             continue
         finals = np.array([rec.final_distance for rec in ok])
         mean_final[g] = finals.mean()
         std_final[g] = finals.std()
         mean_obj[g] = np.mean([rec.objective_values[-1] for rec in ok])
-        dist, cos = mean_traces([rec.distances for rec in ok],
-                                [rec.cosine_similarities for rec in ok])
-        dist_traces.append(dist)
-        cos_traces.append(cos)
+        for name, (_, attribute, mean) in TRACES.items():
+            means[name].append(mean_trace([getattr(rec, attribute) for rec in ok], mean))
 
     summary = SweepSummary(
         sigmas=config.sigma_values,
@@ -524,11 +526,10 @@ def run_experiment(
         std_final_dist=std_final,
         mean_final_objective=mean_obj,
         trials_ok=ok_counts,
-        mean_dist_traces=dist_traces,
-        mean_cosine_traces=cos_traces,
         evaluation_counts=eval_counts,
         trials=config.trials,
         max_iterations=config.max_iterations,
+        **means,
     )
     if out_path is not None:
         emit_csv(summary, out_path / "summary.csv")

@@ -12,7 +12,14 @@ import numpy as np
 
 from .harness import PlotData, write_text
 
-PLOT_KINDS = ("convergence-curves", "cosine-vs-iteration", "final-dist-vs-sigma")
+# The PlotData traces each kind draws (see harness.TRACES), and so the only
+# ones `dgs-opt plot` reads back for it.
+PLOT_TRACES = {
+    "convergence-curves": ("mean_dist_traces",),
+    "cosine-vs-iteration": ("mean_cosine_traces",),
+    "final-dist-vs-sigma": (),
+}
+PLOT_KINDS = tuple(PLOT_TRACES)
 
 _WIDTH, _HEIGHT = 800, 500
 _LEFT, _RIGHT, _TOP, _BOTTOM = 75, 170, 30, 55
@@ -213,11 +220,8 @@ def render_plot(summary: PlotData, kind: str) -> str:
             y_log=True,
             markers=True,
         )
-    traces = (
-        summary.mean_dist_traces
-        if kind == "convergence-curves"
-        else summary.mean_cosine_traces
-    )
+    (field,) = PLOT_TRACES[kind]
+    traces = getattr(summary, field)
     series = []
     for g, sigma in enumerate(summary.sigmas):
         trace = traces[g]

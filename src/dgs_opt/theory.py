@@ -99,10 +99,10 @@ def recommend_sigma_periodic(
     """
     if not (gamma1 > 0 and alpha > 0):
         raise ValueError("gamma1 and alpha must be positive")
-    threshold = constants.L / (2.0 * math.sqrt(2.0) * gamma1)
-    if alpha > threshold:
-        arg = 2.0 * math.sqrt(2.0) * alpha * gamma1 / constants.L
-        assert arg > 1.0  # implied by the branch condition
+    arg = 2.0 * math.sqrt(2.0) * alpha * gamma1 / constants.L
+    # the branch test alpha > threshold, on the computed argument: just above
+    # the threshold, alpha > threshold can hold while arg rounds to 1
+    if arg > 1.0:
         sigma = math.sqrt(math.log(arg)) / (math.sqrt(2.0) * math.pi * alpha)
         return sigma, "high-frequency"
     return 1.0 / alpha, "low-frequency"
@@ -118,10 +118,8 @@ def recommend_sigma_bandlimited(
     """
     if not (gamma > 0 and alpha0 > 0):
         raise ValueError("gamma and alpha0 must be positive")
-    threshold = constants.L ** (1.0 / 3.0) / (math.pi * gamma ** (1.0 / 3.0))
-    if alpha0 > threshold:
-        arg = math.pi * alpha0 * gamma ** (1.0 / 3.0) / constants.L ** (1.0 / 3.0)
-        assert arg > 1.0
+    arg = math.pi * alpha0 * gamma ** (1.0 / 3.0) / constants.L ** (1.0 / 3.0)
+    if arg > 1.0:  # alpha0 above the threshold, tested as recommend_sigma_periodic does
         sigma = (
             math.sqrt(3.0)
             / (math.pi * alpha0 * math.sqrt(2.0))
@@ -133,15 +131,19 @@ def recommend_sigma_bandlimited(
 
 def gh_error_term(d: int, sigma: float, order: int, C: float = 1.0) -> float:
     """Quadrature contribution to the estimator-discrepancy bound:
-    C pi (M!)^2 d / (4^M ((2M)!)^2) * sigma^(4M - 2)."""
+    C pi (M!)^2 d / (4^M ((2M)!)^2) * sigma^(4M - 2).
+
+    The factorial ratio is one correctly rounded division of exact integers,
+    and sigma^(4M - 2) is taken as a mantissa power times a power of two, so
+    neither overflows where the term is finite (up to MAX_ORDER). A term
+    beyond the float range is an OverflowError; one below it is 0.0."""
     m = order
-    return (
-        C
-        * math.pi
-        * math.factorial(m) ** 2
-        * d
-        / (4.0**m * math.factorial(2 * m) ** 2)
-        * sigma ** (4 * m - 2)
+    ratio = math.factorial(m) ** 2 / (4**m * math.factorial(2 * m) ** 2)
+    mantissa, exponent = math.frexp(sigma)
+    ratio_mantissa, ratio_exponent = math.frexp(ratio)
+    return math.ldexp(
+        C * math.pi * d * ratio_mantissa * mantissa ** (4 * m - 2),
+        ratio_exponent + exponent * (4 * m - 2),
     )
 
 

@@ -369,8 +369,10 @@ def test_criterion_9_cosine_sweep(periodic_sweep):
 
 @pytest.mark.slow
 def test_criterion_10_determinism(periodic_sweep, tmp_path):
+    # the re-run splits the trials over two worker processes: the bytes must
+    # not depend on a re-run nor on --jobs
     config, _, first_out = periodic_sweep
-    dg.run_experiment(config, out_dir=tmp_path)
+    dg.run_experiment(config, jobs=2, out_dir=tmp_path)
     mismatched = []
     for path in sorted(first_out.glob("*.csv")):
         h1 = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -380,6 +382,6 @@ def test_criterion_10_determinism(periodic_sweep, tmp_path):
     report(
         10,
         not mismatched,
-        "re-running the periodic sweep reproduces every CSV byte for byte"
+        "re-running the periodic sweep at jobs=2 reproduces every CSV byte for byte"
         + (f"; mismatches {mismatched}" if mismatched else ""),
     )

@@ -464,9 +464,9 @@ def _scalar_points(px, py):
 
 
 @pytest.fixture(scope="module")
-def theorem3_read_back(tmp_path_factory):
-    """PlotData read back from a theorem3 sweep's CSVs: every trial stops at
-    the sigma floor after 1,740 steps, so each trace has 1,741 points."""
+def theorem3_out(tmp_path_factory):
+    """Directory of a theorem3 sweep's CSVs: every trial stops at the sigma
+    floor after 1,740 steps, so each trace has 1,741 points."""
     out = tmp_path_factory.mktemp("theorem3")
     doc = base_doc(objective={"kind": "quadratic", "dimension": 5, "box": [-5, 5]},
                    noise={"kind": "diminishing", "beta": 1e-4}, step_size=0.005,
@@ -474,9 +474,47 @@ def theorem3_read_back(tmp_path_factory):
                    schedule={"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0,
                              "r0_tilde": 1.0})
     run_experiment(parse_config(doc), out_dir=out)
-    data = read_sweep(out / "summary.csv")
+    return out
+
+
+@pytest.fixture(scope="module")
+def theorem3_read_back(theorem3_out):
+    """PlotData read back from the theorem3 sweep's CSVs."""
+    data = read_sweep(theorem3_out / "summary.csv")
     assert [len(t) for t in data.mean_dist_traces] == [1741, 1741]
     return data
+
+
+# Sweeps written and read back by the plot tests: config, trials_ok per grid
+# point, and whether the trace rows are rewritten interleaved, later trials
+# first, where the order of three trials changes the bits of a mean. In
+# "diverged-grid-point" every trial at sigma = 50 diverges, in
+# "some-trials-diverge" some trials at each grid point do, and in
+# "sigma-floor" every trial stops well before max_iterations.
+_SWEEPS = {
+    "base": (base_doc(), [2, 2], False),
+    "diverged-grid-point": (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0], False),
+    "some-trials-diverge": (base_doc(trials=6, step_size=0.5), [5, 2], False),
+    "interleaved": (base_doc(trials=3), [3, 3], True),
+    "sigma-floor": (base_doc(schedule={"kind": "two-phase-decay", "switch_iteration": 0,
+                                       "contraction": 0.3}), [2, 2], False),
+}
+
+
+def _write_sweep(name: str, out: Path) -> SweepSummary:
+    """Run the sweep ``name`` of _SWEEPS into ``out``, interleaving its trace
+    rows if it asks for that."""
+    def interleaved(row):
+        trial, iteration = map(int, row.split(",")[:2])
+        return iteration, -trial
+
+    doc, trials_ok, shuffle = _SWEEPS[name]
+    summary = run_experiment(parse_config(doc), out_dir=out)
+    assert list(summary.trials_ok) == trials_ok
+    for path in out.glob("trace_grid*.csv") if shuffle else ():
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *sorted(rows, key=interleaved)]) + "\n")
+    return summary
 
 
 class TestCli:
@@ -495,29 +533,14 @@ class TestCli:
         ET.parse(svg)
 
     def test_plot_reads_back_the_in_memory_traces(self, tmp_path):
-        # both sides pad each trace to the longest trial they average; in the
-        # second sweep every trial at sigma = 50 diverges; in the third the
-        # trace rows are interleaved, later trials first, where the order of
-        # three trials changes the bits of a mean; in the fourth every trial
-        # stops at the sigma floor, well before max_iterations
-        def interleaved(row):
-            trial, iteration = map(int, row.split(",")[:2])
-            return iteration, -trial
-
-        sweeps = [(base_doc(), [2, 2], False),
-                  (base_doc(sigma_grid=[0.5, 50.0], step_size=0.1), [2, 0], False),
-                  (base_doc(trials=3), [3, 3], True),
-                  (base_doc(schedule={"kind": "two-phase-decay", "switch_iteration": 0,
-                                      "contraction": 0.3}), [2, 2], False)]
-        for i, (doc, trials_ok, shuffle) in enumerate(sweeps):
-            out = tmp_path / str(i)
-            summary = run_experiment(parse_config(doc), out_dir=out)
-            assert list(summary.trials_ok) == trials_ok
-            if i == 3:
-                assert all(len(tr) < doc["max_iterations"] for tr in summary.mean_dist_traces)
-            for path in out.glob("trace_grid*.csv") if shuffle else ():
-                header, *rows = path.read_text().splitlines()
-                path.write_text("\n".join([header, *sorted(rows, key=interleaved)]) + "\n")
+        # both sides pad each trace to the longest trial they average; not
+        # "some-trials-diverge", as read_sweep averages the diverged trials too
+        for sweep in ("base", "diverged-grid-point", "interleaved", "sigma-floor"):
+            out = tmp_path / sweep
+            summary = _write_sweep(sweep, out)
+            if sweep == "sigma-floor":
+                max_iterations = _SWEEPS[sweep][0]["max_iterations"]
+                assert all(len(tr) < max_iterations for tr in summary.mean_dist_traces)
             read = read_sweep(out / "summary.csv")
             pairs = [*zip(read.mean_dist_traces, summary.mean_dist_traces),
                      *zip(read.mean_cosine_traces, summary.mean_cosine_traces)]
@@ -526,9 +549,37 @@ class TestCli:
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(read.mean_final_dist, summary.mean_final_dist)
 
+    @pytest.mark.parametrize("kind", plotting.PLOT_KINDS)
+    @pytest.mark.parametrize("sweep", ["theorem3", "diverged-grid-point", "some-trials-diverge",
+                                       "interleaved"])
+    def test_plot_draws_what_a_full_read_back_draws(self, sweep, kind, theorem3_out,
+                                                    tmp_path, capsys):
+        # each kind reads back only the trace it draws
+        out = theorem3_out if sweep == "theorem3" else tmp_path / "sweep"
+        if sweep != "theorem3":
+            _write_sweep(sweep, out)
+        svg = tmp_path / "plot.svg"
+        assert cli_main(["plot", str(out / "summary.csv"), "--kind", kind,
+                         "--out", str(svg)]) == 0
+        assert svg.read_bytes() == render_plot(read_sweep(out / "summary.csv"), kind).encode()
+
+    @pytest.mark.parametrize("traces", ["deleted", "malformed"])
+    def test_final_dist_vs_sigma_reads_no_trace_csv(self, traces, tmp_path, capsys):
+        _write_sweep("base", tmp_path)
+        want = render_plot(read_sweep(tmp_path / "summary.csv"), "final-dist-vs-sigma")
+        for path in tmp_path.glob("trace_grid*.csv"):
+            if traces == "deleted":
+                path.unlink()
+            else:
+                path.write_text("trial,dist\nx,y\n")
+        svg = tmp_path / "plot.svg"
+        assert cli_main(["plot", str(tmp_path / "summary.csv"), "--kind",
+                         "final-dist-vs-sigma", "--out", str(svg)]) == 0
+        assert svg.read_bytes() == want.encode()
+
     @pytest.mark.parametrize("fault", ["summary-sigma", "summary-trials-ok-1.5",
                                        "summary-header-only", "trace-trial-0.5",
-                                       "trace-dist", "trace-no-dist"])
+                                       "trace-dist", "trace-no-dist", "trace-cosine"])
     def test_plot_malformed_csv_is_one_error_line(self, fault, tmp_path, capsys):
         run_experiment(parse_config(base_doc()), out_dir=tmp_path)
         name = "summary.csv" if fault.startswith("summary") else "trace_grid00.csv"
@@ -542,16 +593,17 @@ class TestCli:
             lines = lines[:1]
         elif fault == "trace-trial-0.5":
             lines[1] = "0.5" + lines[1][lines[1].index(","):]
-        elif fault == "trace-dist":
+        elif fault in ("trace-dist", "trace-cosine"):
             cells = lines[1].split(",")
-            cells[3] = "abc"
+            cells[3 if fault == "trace-dist" else 5] = "abc"
             lines[1] = ",".join(cells)
         else:
             lines = [",".join(c for i, c in enumerate(line.split(",")) if i != 3)
                      for line in lines]
         path.write_text("\n".join(lines) + "\n")
-        code = cli_main(["plot", str(tmp_path / "summary.csv"), "--kind",
-                         "convergence-curves", "--out", str(tmp_path / "c.svg")])
+        kind = "cosine-vs-iteration" if fault == "trace-cosine" else "convergence-curves"
+        code = cli_main(["plot", str(tmp_path / "summary.csv"), "--kind", kind,
+                         "--out", str(tmp_path / "c.svg")])
         assert code == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()
@@ -692,6 +744,21 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "bandlimited", "--L", "2", "--tau", "2", "--gamma", "1",
+         "--alpha", "0.4010453259925992"],
+        ["--model", "periodic", "--L", "3", "--tau", "2", "--gamma", "1.7",
+         "--alpha", "0.6239177481057773"],
+        ["--model", "periodic", "--order", "50"],
+        ["--model", "periodic", "--order", "64"],
+    ], ids=["bandlimited-above-threshold", "periodic-above-threshold", "order-50", "order-64"])
+    def test_bounds_at_an_edge_prints_values(self, args, capsys):
+        # just above a branch threshold, and at orders whose factorials
+        # overflow a float
+        assert cli_main(["bounds", *args]) == 0
+        captured = capsys.readouterr()
+        assert "recommended_sigma" in captured.out and captured.err == ""
 
     def test_bounds_prints_values(self, capsys):
         assert cli_main(["bounds", "--model", "periodic", "--alpha", "1", "--sigma", "0.5"]) == 0

@@ -117,6 +117,30 @@ class TestRecommendedSigma:
         assert branch == "high-frequency"
         np.testing.assert_allclose(sigma, 0.37264303843113413, rtol=1e-14)
 
+    @pytest.mark.parametrize("recommend,threshold", [
+        (recommend_sigma_periodic, lambda L, gamma: L / (2.0 * math.sqrt(2.0) * gamma)),
+        (recommend_sigma_bandlimited,
+         lambda L, gamma: L ** (1.0 / 3.0) / (math.pi * gamma ** (1.0 / 3.0))),
+    ], ids=["periodic", "bandlimited"])
+    def test_recommended_sigma_on_the_first_ulps_above_the_threshold(self, recommend,
+                                                                     threshold):
+        # alpha above the threshold can leave the branch argument rounded to 1:
+        # sigma stays positive and finite, the branch turns high-frequency
+        # once along the walk and stays so, and it is there 64 ulps up
+        for L in (0.5, 1.0, 2.0, 3.0, 7.5):
+            constants = ConvexityConstants(L=L, tau=min(L, 2.0))
+            for gamma in (0.3, 1.0, 1.7, 4.0):
+                alpha = threshold(L, gamma)
+                branches = []
+                for _ in range(64):
+                    alpha = math.nextafter(alpha, math.inf)
+                    sigma, branch = recommend(constants, gamma, alpha)
+                    assert 0.0 < sigma < math.inf, (L, gamma, alpha)
+                    branches.append(branch)
+                high = branches.index("high-frequency")
+                assert set(branches[high:]) == {"high-frequency"}, (L, gamma)
+                assert set(branches[:high]) <= {"low-frequency"}, (L, gamma)
+
     def test_recommended_sigma_below_wavelength_on_high_branch(self):
         for alpha in (2.0, 4.0, 16.0):
             sigma, branch = recommend_sigma_periodic(LT, 1.0, alpha)
@@ -129,6 +153,21 @@ class TestDiscrepancyAndRates:
         np.testing.assert_allclose(
             gh_error_term(5, 0.5, 5), 6.3990635728421293e-17, rtol=1e-13
         )
+
+    @pytest.mark.parametrize("order,sigma,value", [
+        (50, 0.5, 3.2758469626291514066e-276),
+        (64, 100.0, 4.9979745418131641795e217),
+        (64, 0.5, 0.0),  # 1.73e-367 underflows
+    ])
+    def test_gh_error_term_at_high_orders(self, order, sigma, value):
+        # values from 50-digit arithmetic; the factorials and sigma^(4M - 2)
+        # overflow a float on their own
+        np.testing.assert_allclose(gh_error_term(5, sigma, order), value, rtol=1e-14)
+
+    def test_gh_error_term_is_finite_at_every_valid_order(self):
+        for order in range(1, 65):
+            for sigma in (0.5, 1.0, 2.0):
+                assert math.isfinite(gh_error_term(5, sigma, order)), (order, sigma)
 
     def test_delta_sigma_frozen_value(self):
         np.testing.assert_allclose(
