@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -386,15 +387,23 @@ def write_text(path, chunks, what: str) -> None:
 
 def _trace_chunks(records: list[TrialRecord]):
     """The trace CSV text, one chunk per trial, so a write never holds more
-    than one trial's text."""
+    than one trial's text. A trial's rows are formatted in one ``%`` pass,
+    and each radius once per grid point: the trials share their radius law.
+    Radii are told apart by their bits, as 0.0 and -0.0 print differently."""
     yield TRACE_HEADER + "\n"
-    for trial, rec in enumerate(records):
-        columns = map(_formatted, (rec.sigmas, rec.distances,
-                                   rec.objective_values, rec.cosine_similarities))
-        yield "".join(
-            f"{trial},{t},{sigma},{dist},{objective},{cosine}\n"
-            for t, (sigma, dist, objective, cosine) in enumerate(zip(*columns))
-        )
+    if not records:
+        return
+    bits = [np.asarray(rec.sigmas, dtype=float).view(np.uint64) for rec in records]
+    distinct, where = np.unique(np.concatenate(bits), return_inverse=True)
+    sigma_text = np.array(_formatted(distinct.view(float)), dtype=object)[where].tolist()
+    start = 0
+    for trial, (rec, sigmas) in enumerate(zip(records, bits)):
+        rows = zip(range(len(sigmas)), sigma_text[start:start + len(sigmas)],
+                   *(np.asarray(column, dtype=float).tolist() for column in (
+                       rec.distances, rec.objective_values, rec.cosine_similarities)))
+        start += len(sigmas)
+        cells = tuple(chain.from_iterable(rows))
+        yield (f"{trial},%d,%s,%.17g,%.17g,%.17g\n" * (len(cells) // 5)) % cells
 
 
 def write_trace_csv(records: list[TrialRecord], path) -> None:
@@ -415,7 +424,22 @@ def emit_csv(summary: SweepSummary, path) -> None:
 def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
     """The named ``columns`` (name -> type) of a CSV file as one structured
     array. A file that cannot be read, a missing column or a value that does
-    not parse as its column's type is a ConfigError that names the file."""
+    not parse as its column's type is a ConfigError that names the file.
+
+    ``np.loadtxt`` parses the open file as it stands. A file it does not
+    take (a whitespace-only line, no rows, a bad byte or value) is read
+    again as the list of its non-blank lines, which gives the result or the
+    error."""
+    dtype = list(columns.items())
+
+    def parse(lines, header: list[str]) -> np.ndarray:
+        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1,
+                          usecols=[header.index(name) for name in columns])
+
+    with contextlib.suppress(OSError, ValueError, UserWarning), open(path) as fh, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # np.loadtxt warns on no data
+        return parse(fh, fh.readline().rstrip("\n").split(","))
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -425,12 +449,10 @@ def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
     missing = [name for name in columns if name not in header]
     if missing:
         raise ConfigError(f"malformed {what} {path}: missing column(s) {missing}")
-    dtype = list(columns.items())
     if not rows:  # np.loadtxt warns on no data
         return np.empty(0, dtype=dtype)
     try:
-        return np.loadtxt(rows, delimiter=",", dtype=dtype, ndmin=1,
-                          usecols=[header.index(name) for name in columns])
+        return parse(rows, header)
     except ValueError as e:
         raise ConfigError(f"malformed {what} {path}: {e}") from e
 

@@ -55,6 +55,7 @@ def periodic_sweep(tmp_path_factory):
     """
     out = tmp_path_factory.mktemp("periodic")
     config = dg.parse_config(periodic_doc(quadrature_order=40))
+    # jobs=1, so criterion 10's jobs=2 re-run compares across --jobs
     summary = dg.run_experiment(config, out_dir=out)
     return config, summary, out
 
@@ -67,7 +68,7 @@ def bandlimited_sweep():
         noise={"kind": "bandlimited", "alpha0": 1.0, "num_components": 20},
     )
     config = dg.parse_config(doc)
-    return config, dg.run_experiment(config)
+    return config, dg.run_experiment(config, jobs=2)  # the same sweep at any jobs
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +87,9 @@ def diminishing_runs():
         "basis": "identity",
         "master_seed": 20240601,
     }
-    two_phase = dg.run_experiment(dg.parse_config(doc))
+    two_phase = dg.run_experiment(dg.parse_config(doc), jobs=2)
     doc_const = dict(doc, schedule={"kind": "constant"}, trials=5)
-    constant = dg.run_experiment(dg.parse_config(doc_const))
+    constant = dg.run_experiment(dg.parse_config(doc_const), jobs=2)
     return two_phase, constant
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from dgs_opt import (
     OutputError,
     RunConfig,
     SigmaSchedule,
+    TrialRecord,
     build_gh_rule,
     emit_csv,
     emit_plot,
@@ -317,6 +319,90 @@ class TestRunExperiment:
             assert len(digests) == 1, name
 
 
+def _per_value_trace_csv(records) -> bytes:
+    """The trace CSV as it was written one value at a time: each column
+    formatted value by value and each row joined by an f-string. The
+    reference for write_trace_csv's bytes."""
+    def formatted(values):
+        return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+    text = [TRACE_HEADER + "\n"]
+    for trial, rec in enumerate(records):
+        columns = map(formatted, (rec.sigmas, rec.distances,
+                                  rec.objective_values, rec.cosine_similarities))
+        text += (f"{trial},{t},{sigma},{dist},{objective},{cosine}\n"
+                 for t, (sigma, dist, objective, cosine) in enumerate(zip(*columns)))
+    return "".join(text).encode()
+
+
+# float64 bit patterns the trace writer must print as the per-value writer
+# did: any pattern, ordinary floats, and the edges drawn often: +-0.0,
+# +-inf, 5e-324, the largest subnormal, 1.7976931348623157e308 and NaNs
+# with either sign and several payloads, quiet and signalling.
+_ZERO_AND_NAN_BITS = [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000,
+                      0x7FF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF]
+_EDGE_BITS = [*_ZERO_AND_NAN_BITS, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+              0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF]
+_FLOAT64_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(_EDGE_BITS),
+    st.floats(allow_nan=False).map(lambda x: int(np.float64(x).view(np.uint64))),
+)
+
+
+@st.composite
+def _trace_records(draw):
+    """Trials of unequal lengths at one grid point. Their sigma columns are
+    prefixes of one shared column (constant, decaying, any bits, or only
+    +-0.0 and NaNs), or each trial's own."""
+    def column(n, bits=_FLOAT64_BITS):
+        return np.array(draw(st.lists(bits, min_size=n, max_size=n)),
+                        dtype=np.uint64).view(np.float64)
+
+    lengths = draw(st.lists(st.integers(0, 12), max_size=4))
+    longest = max(lengths, default=0)
+    kind = draw(st.sampled_from(["constant", "decaying", "shared", "zeros-and-nans", "own"]))
+    if kind == "constant":
+        shared = np.full(longest, column(1)[0])
+    elif kind == "decaying":
+        sigma0 = draw(st.floats(1e-300, 1e300))
+        contraction = draw(st.floats(0.5, 1.0))
+        shared = np.array([sigma0 * contraction**t for t in range(longest)])
+    else:
+        shared = column(longest, st.sampled_from(_ZERO_AND_NAN_BITS)
+                        if kind == "zeros-and-nans" else _FLOAT64_BITS)
+    return [TrialRecord(iterates=np.zeros((n, 1)), distances=column(n),
+                        objective_values=column(n), cosine_similarities=column(n),
+                        sigmas=column(n) if kind == "own" else shared[:n],
+                        evaluation_count=0, iterations_run=n, status="ok")
+            for n in lengths]
+
+
+class TestTraceCsvBytes:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(records=_trace_records())
+    def test_written_bytes_are_the_per_value_writers(self, records, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "trace-property.csv"
+        write_trace_csv(records, path)
+        assert path.read_bytes() == _per_value_trace_csv(records)
+
+    @pytest.mark.parametrize("doc", [
+        base_doc(),
+        base_doc(sigma_grid=[0.5, 50.0], step_size=0.1),  # every trial at 50 diverges
+        base_doc(objective={"kind": "quadratic", "dimension": 5, "box": [-5, 5]},
+                 noise={"kind": "diminishing", "beta": 1e-4}, step_size=0.005,
+                 max_iterations=2000, basis="random",
+                 schedule={"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0,
+                           "r0_tilde": 1.0}),
+    ], ids=["base", "diverged", "theorem3"])
+    def test_sweep_records_are_written_as_the_per_value_writer_wrote_them(self, doc, tmp_path):
+        config = parse_config(doc)
+        for g in range(len(config.sigma_grid)):
+            records = [run_trial(config, g, t) for t in range(config.trials)]
+            write_trace_csv(records, tmp_path / "trace.csv")
+            assert (tmp_path / "trace.csv").read_bytes() == _per_value_trace_csv(records)
+
+
 def _assert_same_summary(a, b):
     for name in ("sigmas", "mean_final_dist", "std_final_dist", "mean_final_objective",
                  "trials_ok", "evaluation_counts"):
@@ -609,6 +695,55 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), captured.err
         assert str(path) in err[0]
+
+    @pytest.mark.parametrize("case", ["blank-lines", "no-final-newline", "crlf", "header-only",
+                                      "blank-lines-then-bad-value", "non-utf8-last-row"])
+    def test_plot_reads_an_irregular_trace_csv_as_its_lines_say(self, case, tmp_path, capsys):
+        # blank and whitespace-only lines are skipped, a header-only file has
+        # no rows, a bad value is named by its row among the non-blank ones
+        # and an undecodable byte anywhere is "cannot read"; no case warns
+        def plot(data):
+            """Exit code and SVG bytes or standard error of a plot of the
+            sweep with ``data`` as its trace_grid00.csv (None: no such file)."""
+            if data is None:
+                path.unlink()
+            else:
+                path.write_bytes(data)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")  # as outside pytest
+                code = cli_main(["plot", str(tmp_path / "summary.csv"), "--kind",
+                                 "convergence-curves", "--out", str(tmp_path / "plot.svg")])
+            assert caught == []
+            err = capsys.readouterr().err
+            return code, err if code else (tmp_path / "plot.svg").read_bytes()
+
+        _write_sweep("base", tmp_path)
+        path = tmp_path / "trace_grid00.csv"
+        text = path.read_bytes()
+        header, *rows = text.splitlines()
+        cells = rows[2].split(b",")
+        cells[3] = b"abc"  # the dist of the third row
+        bad = [*rows[:2], b",".join(cells), *rows[3:]]
+        blank = [header, b"", rows[0], b"   ", b"\t", *rows[1:], b" "]
+        blank_bad = [header, b"", b" ", *bad[:2], b"\t", *bad[2:]]
+        irregular, regular = {
+            "blank-lines": (b"\n".join(blank) + b"\n", text),
+            "no-final-newline": (text[:-1], text),
+            "crlf": (text.replace(b"\n", b"\r\n"), text),
+            "header-only": (header + b"\n", None),
+            "blank-lines-then-bad-value": (b"\n".join(blank_bad) + b"\n",
+                                           b"\n".join([header, *bad]) + b"\n"),
+            "non-utf8-last-row": (text[:-3] + b"\xff" + text[-2:], None),
+        }[case]
+        if case == "non-utf8-last-row":
+            path.write_bytes(irregular)
+            with pytest.raises(UnicodeDecodeError) as decode, open(path) as fh:
+                fh.readline()  # the lines' reader: a header line, then the rest
+                fh.read()
+            want = (1, f"error: cannot read trace CSV {path}: {decode.value}\n")
+        else:
+            want = plot(regular)
+        assert plot(irregular) == want
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

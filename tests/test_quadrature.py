@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -34,11 +36,30 @@ def golub_welsch_reference(order: int, digits: int = 30):
         )
 
 
+# golub_welsch_reference(order) for each order compared, frozen: at 30
+# digits order 64 takes about 9 s. Written by running this file.
+REFERENCE_PATH = Path(__file__).with_name("data") / "golub_welsch_30_digits.json"
+REFERENCE_ORDERS = (1, 2, 3, 5, 8, 13, 20, 40, MAX_ORDER)
+LIVE_ORDERS = (1, 2, 3, 5, 8, 13)
+
+
+def frozen_reference() -> dict:
+    table = json.loads(REFERENCE_PATH.read_text())
+    return {int(order): (np.array(rule["nodes"]), np.array(rule["weights"]))
+            for order, rule in table.items()}
+
+
 class TestBuildRule:
+    def test_frozen_reference_is_the_live_one(self):
+        frozen = frozen_reference()
+        assert tuple(frozen) == REFERENCE_ORDERS
+        for order in LIVE_ORDERS:
+            for got, want in zip(frozen[order], golub_welsch_reference(order)):
+                assert got.tobytes() == want.tobytes(), order
+
     def test_matches_reference_nodes_and_weights(self):
-        for order in (1, 2, 3, 5, 8, 13, 20, 40, MAX_ORDER):
+        for order, (nodes, weights) in frozen_reference().items():
             rule = build_gh_rule(order)
-            nodes, weights = golub_welsch_reference(order)
             np.testing.assert_allclose(rule.nodes, nodes, atol=1e-13)
             np.testing.assert_allclose(rule.weights, weights, atol=1e-13, rtol=1e-13)
 
@@ -116,3 +137,11 @@ class TestExactness:
         ]
         assert all(e2 <= e1 for e1, e2 in zip(errors, errors[1:]))
         assert errors[-1] < 1e-12
+
+
+if __name__ == "__main__":
+    table = {}
+    for order in REFERENCE_ORDERS:
+        nodes, weights = golub_welsch_reference(order)
+        table[order] = {"nodes": nodes.tolist(), "weights": weights.tolist()}
+    REFERENCE_PATH.write_text(json.dumps(table, indent=1) + "\n")
