@@ -78,13 +78,16 @@ def _json(kind: type):
 
 def _number(kind: type, positive: bool = False):
     """Converter of a JSON number, never a bool, to ``kind``. An int field
-    takes an integer or an integral float such as 2.0."""
+    takes an integer or an integral float such as 2.0; no field takes NaN or
+    an infinity."""
     def convert(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"must be a number, got {type(value).__name__}")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"must be an integer, got {value}")
         number = kind(value)
+        if kind is float and not math.isfinite(number):  # an int is finite
+            raise ValueError(f"must be finite, got {number}")
         if positive and not number > 0:
             raise ValueError(f"must be positive, got {number}")
         return number
@@ -108,6 +111,8 @@ def _box(value) -> tuple[float, float]:
     lo, hi = map(_FLOAT, _json(list)(value))
     if not lo < hi:
         raise ValueError("must be [lo, hi] with lo < hi")
+    if not math.isfinite(hi - lo):  # initial points are drawn uniform on it
+        raise ValueError(f"must have a finite width, got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -224,7 +229,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
         doc = json.loads(text)

@@ -18,7 +18,7 @@ SIGMA_FLOOR = 1e-14
 # Iterates beyond this norm abort the run before NaN cascades set in.
 DIVERGENCE_NORM = 1e12
 
-# Bytes of node offsets built per block of radii. run reads its radii this
+# Bytes of node offsets built per block of radii. run builds its configs this
 # many bytes of offsets ahead, so the block holds fewer steps as M * d^2 grows.
 _BLOCK_BYTES = 1 << 15
 
@@ -120,38 +120,24 @@ def _block_steps(order: int, dimension: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * order * dimension * dimension))
 
 
-def _radii(config: RunConfig, start: int, previous) -> list:
-    """(sigma_t, the DGSConfig step t uses) for each step t of the block
-    from ``start``. The trial's last entry is (sigma_t, None): at
-    max_iterations, in a block of its own, or at the first radius below
-    SIGMA_FLOOR, which ends its block.
-
-    Radii come from sigma_at, read one block of steps ahead. A block builds
-    configs only for radii it does not share with ``previous``, the config
-    of the step before, all in one broadcast, so a constant radius is built
-    once per trial and a decaying one once per block.
-    """
-    if start == config.max_iterations:
-        return [(sigma_at(config.schedule, start), None)]
+def _ahead(config: RunConfig, start: int) -> list:
+    """The DGSConfigs of the radii of one block of steps from ``start``,
+    last first, so that pop() gives them in step order. The block's radii
+    come from sigma_at and stop at max_iterations or before the first radius
+    below SIGMA_FLOOR, whose successors may underflow to 0. Each distinct
+    radius is built once, and all of them in one broadcast."""
     schedule = config.schedule
     steps = _block_steps(config.rule.order, config.basis.dimension)
-    sigmas: list[float] = []
-    new: list[float] = []  # the radii that differ from the step before's
-    which: list[int] = []  # each step's index into configs below; -1 at the floor
-    last = previous.sigma if previous else None
+    radii: list[float] = []
+    radius = None
     for t in range(start, min(start + steps, config.max_iterations)):
         sigma = sigma_at(schedule, t)
-        sigmas.append(sigma)
-        if sigma != last:  # a radius below the floor differs from every radius before it
-            if sigma < SIGMA_FLOOR:  # the radii after it may underflow to 0: never built
-                which.append(-1)
+        if sigma != radius:
+            if sigma < SIGMA_FLOOR:
                 break
-            new.append(sigma)
-            last = sigma
-        which.append(len(new))
-    # previous, the configs of the new radii in one broadcast, and the floor's None
-    configs = [previous, *(DGSConfig._stack(new, config.rule, config.basis) if new else ()), None]
-    return list(zip(sigmas, map(configs.__getitem__, which)))
+            radii.append(sigma)
+            radius = sigma
+    return DGSConfig._stack(radii[::-1], config.rule, config.basis)
 
 
 def run(config: RunConfig) -> TrialRecord:
@@ -160,14 +146,15 @@ def run(config: RunConfig) -> TrialRecord:
     Deterministic given the config. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
-    always ends at the last finite iterate. The loop only steps: it takes
-    its radii and their configs a block at a time from _radii, and the
+    always ends at the last finite iterate. The loop only steps: it reads
+    each step's radius from sigma_at, and only when the radius changes takes
+    the next config from _ahead, which builds a block of them at a time. The
     objective and cosine columns are computed after it, from the stacked
     iterates.
     """
     f = config.objective
     d = f.dimension
-    step_size = config.step_size
+    step_size, schedule, last = config.step_size, config.schedule, config.max_iterations
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
@@ -175,29 +162,32 @@ def run(config: RunConfig) -> TrialRecord:
     iterates = [x]
     estimates: list[np.ndarray] = []
     sigmas: list[float] = []
-    t, dgs, status = 0, None, None
-    while status is None:
-        # one block of radii per pass; dgs, the last step's config, is reused
-        # by the next block while the radius stays the same
-        for sigma, dgs in _radii(config, t, dgs):
-            sigmas.append(sigma)
-            if dgs is None:
-                status = "ok"
+    status, radius, ahead = "ok", None, []
+    for t in range(last + 1):
+        sigma = sigma_at(schedule, t)
+        sigmas.append(sigma)
+        if t == last:
+            break
+        if sigma != radius:  # a radius below the floor always differs from the last
+            if sigma < SIGMA_FLOOR:
                 break
-            try:
-                estimate = dgs_gradient(f, x, dgs)
-            except EvaluationError:
-                status = "diverged"
-                break
-            x_next = x - step_size * estimate
+            if not ahead:
+                ahead = _ahead(config, t)
+            dgs, radius = ahead.pop(), sigma
+        try:
+            estimate = dgs_gradient(f, x, dgs)
+        except EvaluationError:
+            status = "diverged"
+            break
+        x_next = x - step_size * estimate
+        # the decision of np.linalg.norm(x_next) > DIVERGENCE_NORM, NaN and inf included
+        if not math.sqrt(x_next.dot(x_next)) <= DIVERGENCE_NORM:
+            status = "diverged"
             t += 1  # a step that blows up was taken, so it counts
-            # the decision of np.linalg.norm(x_next) > DIVERGENCE_NORM, NaN and inf included
-            if not math.sqrt(x_next.dot(x_next)) <= DIVERGENCE_NORM:
-                status = "diverged"
-                break
-            x = x_next
-            iterates.append(x)
-            estimates.append(estimate)
+            break
+        x = x_next
+        iterates.append(x)
+        estimates.append(estimate)
 
     iterates = np.array(iterates)
     estimates = np.reshape(estimates, (-1, d))

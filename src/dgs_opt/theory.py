@@ -129,9 +129,11 @@ def recommend_sigma_bandlimited(
     return 1.0 / alpha0, "low-frequency"
 
 
-def gh_error_term(d: int, sigma: float, order: int, C: float = 1.0) -> float:
+def gh_error_term(d: int, sigma: float, order: int) -> float:
     """Quadrature contribution to the estimator-discrepancy bound:
-    C pi (M!)^2 d / (4^M ((2M)!)^2) * sigma^(4M - 2).
+    pi (M!)^2 d / (4^M ((2M)!)^2) * sigma^(4M - 2). The theory does not fix
+    the bound's constant, so it is taken as 1: use the term for shape
+    comparisons, not absolute thresholds.
 
     The factorial ratio is one correctly rounded division of exact integers,
     and sigma^(4M - 2) is taken as a mantissa power times a power of two, so
@@ -142,7 +144,7 @@ def gh_error_term(d: int, sigma: float, order: int, C: float = 1.0) -> float:
     mantissa, exponent = math.frexp(sigma)
     ratio_mantissa, ratio_exponent = math.frexp(ratio)
     return math.ldexp(
-        C * math.pi * d * ratio_mantissa * mantissa ** (4 * m - 2),
+        math.pi * d * ratio_mantissa * mantissa ** (4 * m - 2),
         ratio_exponent + exponent * (4 * m - 2),
     )
 
@@ -154,14 +156,13 @@ def delta_sigma_periodic(
     sigma: float,
     d: int,
     order: int,
-    C: float = 1.0,
 ) -> float:
     """Squared radius of the neighborhood of convergence under periodic noise.
 
     The noise term is 3 B^2, B = periodic_noise_grad_bound(gamma1, 1, ...),
-    bounded with (1 + x)^2 <= 2 (1 + x^2). The constant C in the quadrature
-    term is not determined by theory and defaults to 1; use this function
-    for shape comparisons, not absolute thresholds.
+    bounded with (1 + x)^2 <= 2 (1 + x^2). The constant of the quadrature
+    term is not determined by theory and is taken as 1 (gh_error_term); use
+    this function for shape comparisons, not absolute thresholds.
     """
     L, tau = constants.L, constants.tau
     lead = 4.0 / tau**2 + 1.0 / (4.0 * L * tau)
@@ -174,7 +175,7 @@ def delta_sigma_periodic(
         * (1.0 + 1.0 / (8.0 * math.pi * alpha**2 * sigma**2))
     )
     return lead * (
-        gh_error_term(d, sigma, order, C) + 48.0 * L**2 * d * sigma**2 + noise
+        gh_error_term(d, sigma, order) + 48.0 * L**2 * d * sigma**2 + noise
     )
 
 

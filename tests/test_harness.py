@@ -750,6 +750,16 @@ class TestCli:
         path.write_text("{")
         assert cli_main(["run", str(path)]) == 1
 
+    def test_undecodable_config_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(base_doc()).encode()[:-1] + b"\xff}")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read config {path}: ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -788,6 +798,11 @@ class TestCli:
             {"trials": 2.7},
             {"quadrature_order": 5.5},
             {"step_size": True},
+            {"objective": {"kind": "power-sum-sqrt", "dimension": 3, "box": [-math.inf, 0]}},
+            {"objective": {"kind": "power-sum-sqrt", "dimension": 3, "box": [-1e308, 1e308]}},
+            {"noise": {"kind": "periodic", "alpha": 1.0, "amplitude": math.nan}},
+            {"step_size": math.inf},
+            {"noise": {"kind": "diminishing", "beta": math.inf}},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
@@ -797,7 +812,8 @@ class TestCli:
             "max-iterations-inf", "seed-inf", "alpha0-inf", "theorem3-overflow",
             "theorem3-rho-above-1", "schedule-kind-linear", "sigma-grid-inf",
             "sigma-overflow", "sigma-grid-string", "box-string", "trials-2.7", "order-5.5",
-            "step-size-true",
+            "step-size-true", "box-minus-inf", "box-width-overflows", "amplitude-nan",
+            "step-size-inf", "beta-inf",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):

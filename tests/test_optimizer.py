@@ -360,6 +360,14 @@ _BLOCK_CASES = {
     "two-phase-switch-on-block-edge": (
         dict(schedule=SigmaSchedule(0.3, 2 * _STEPS, 0.9), max_iterations=4 * _STEPS),
         "ok", lambda t: t == 4 * _STEPS),
+    # the radius holds through two blocks, then its first contraction is below the floor
+    "floor-on-block-edge": (
+        dict(schedule=SigmaSchedule(1.0, 2 * _STEPS - 1, 1e-15), max_iterations=4 * _STEPS),
+        "ok", lambda t: t == 2 * _STEPS),
+    # a new radius every step, so every block but the last is full, and the last ends on its edge
+    "decaying-to-max-iterations-on-block-edge": (
+        dict(schedule=_THEOREM3, max_iterations=3 * _STEPS),
+        "ok", lambda t: t == 3 * _STEPS),
     # 1,740 steps to the floor, as in the theorem3-cli benchmark workload
     "theorem3-to-floor": (dict(schedule=_THEOREM3, max_iterations=2000),
                           "ok", lambda t: t == 1740 and t % _STEPS != 0),
@@ -409,8 +417,13 @@ def test_radius_underflowing_inside_a_block_stops_at_the_floor():
     assert (steps, status) == (2, "ok")
 
 
-@pytest.mark.parametrize("case,builds", [("constant-over-3-blocks", 1),
-                                         ("theorem3-to-floor", -(-1740 // _STEPS))])
+@pytest.mark.parametrize("case,builds", [
+    ("constant-over-3-blocks", 1),
+    # one build for the constant phase, then blocks from the first decayed radius
+    # to max_iterations, which ends the last block early
+    ("two-phase-switch-mid-block", 1 + -(-(4 * _STEPS - (_STEPS + _STEPS // 2 + 1)) // _STEPS)),
+    ("theorem3-to-floor", -(-1740 // _STEPS)),
+])
 def test_node_offsets_are_built_once_per_block_of_new_radii(case, builds, monkeypatch):
     # a constant radius is built once per trial, a decaying one once per
     # block, and no step builds its own

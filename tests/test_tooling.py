@@ -1,9 +1,17 @@
-"""The project's tooling, each part checked in a fresh interpreter: its pytest
-settings, run on a scratch file, and what a cold `import dgs_opt` loads."""
+"""The project's tooling: its pytest settings, run on a scratch file, and
+what a cold `import dgs_opt` loads, each checked in a fresh interpreter, and
+the test extra's packages, checked against the test files' imports."""
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
+    import tomli as tomllib
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +39,19 @@ def test_import_loads_no_process_pool():
                           timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_test_extra_package_is_imported_by_a_test():
+    # the test extra installs what the tests need and nothing more
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    wanted = {re.split(r"[\s;<>=!~\[]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+              for requirement in extra}
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(wanted - imported) == []
