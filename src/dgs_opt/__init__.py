@@ -32,8 +32,6 @@ from .smoothing import (
     EvaluationError,
     Objective,
     dgs_gradient,
-    directional_derivative_gh,
-    gs_gradient_mc,
     identity_basis,
     random_orthonormal_basis,
 )
@@ -60,9 +58,8 @@ __all__ = [
     "bandlimited_noise_grad_bound", "build_gh_rule",
     "closed_form_smoothed_sine_derivative", "contraction_rate",
     "delta_sigma_periodic", "dgs_gradient", "diminishing_noise_grad_bound",
-    "diminishing_rate", "directional_derivative_gh", "emit_csv", "emit_plot",
-    "gh_error_term", "gs_gradient_mc", "identity_basis", "load_config",
-    "mix_seed", "noise_only_objective", "parse_config",
+    "diminishing_rate", "emit_csv", "emit_plot", "gh_error_term",
+    "identity_basis", "load_config", "mix_seed", "noise_only_objective", "parse_config",
     "periodic_noise_grad_bound", "power_sum_sqrt_objective",
     "quadratic_objective", "random_orthonormal_basis",
     "recommend_sigma_bandlimited", "recommend_sigma_periodic", "render_plot",

@@ -32,10 +32,6 @@ class PeriodicNoise:
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
-    @property
-    def period(self) -> float:
-        return 1.0 / self.alpha
-
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.add.reduce(np.sin(_TWO_PI * self.alpha * x), -1)

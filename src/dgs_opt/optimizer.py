@@ -34,8 +34,8 @@ class SigmaSchedule:
     contraction: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not self.sigma0 >= SIGMA_FLOOR:  # a run would stop before its first step
+            raise ValueError(f"sigma0 must be at least {SIGMA_FLOOR:g}, got {self.sigma0}")
         if not 0.0 < self.contraction <= 1.0:
             raise ValueError(f"contraction must be in (0,1], got {self.contraction}")
         if self.switch_iteration < 0:

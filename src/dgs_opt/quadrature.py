@@ -24,10 +24,6 @@ class GHRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, integrand) -> float:
-        """Weighted sum of a callable integrand over the nodes."""
-        return float(np.dot(self.weights, integrand(self.nodes)))
-
 
 @functools.lru_cache(typed=True)
 def build_gh_rule(order: int) -> GHRule:

@@ -2,8 +2,7 @@
 
 The central object is the nonlocal gradient assembled from d one-dimensional
 Gaussian-smoothed directional derivatives along an orthonormal basis, each
-approximated by Gauss-Hermite quadrature. A plain Monte Carlo estimator of
-the globally-smoothed gradient is kept as the baseline.
+approximated by Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -62,16 +61,19 @@ class Objective:
 
 @dataclass(frozen=True, eq=False)
 class DirectionBasis:
-    """d orthonormal unit vectors, stored as the columns of a d x d matrix."""
+    """d orthonormal unit vectors, stored as the columns of a d x d matrix:
+    a read-only float copy of the one given, so it stays the matrix checked."""
 
     columns: np.ndarray
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=float)
+        cols = np.array(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {cols.shape}")
         if not np.allclose(cols.T @ cols, np.eye(len(cols)), atol=1e-12):
             raise ValueError("basis columns are not orthonormal to 1e-12")
+        cols.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
 
     @property
     def dimension(self) -> int:
@@ -110,12 +112,6 @@ def _gh_nodes(directions: np.ndarray, sigmas: list, rule: GHRule) -> tuple:
     return offsets, rule.weights * rule.nodes, (_SQRT2 / (_SQRT_PI * sigmas)).tolist()
 
 
-def _gh_nodes_of(directions: np.ndarray, sigma: float, rule: GHRule) -> tuple:
-    """_gh_nodes of one radius: its offsets, the coefficients and its factor."""
-    offsets, coefficients, factors = _gh_nodes(directions, [sigma], rule)
-    return offsets[0], coefficients, factors[0]
-
-
 @dataclass(frozen=True, eq=False)
 class DGSConfig:
     """Smoothing radius, quadrature rule and direction basis for one estimate.
@@ -134,8 +130,8 @@ class DGSConfig:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         # rows of the transposed basis are the directions xi_i
-        object.__setattr__(self, "_nodes",
-                           _gh_nodes_of(self.basis.columns.T, self.sigma, self.rule))
+        offsets, coefficients, factors = _gh_nodes(self.basis.columns.T, [self.sigma], self.rule)
+        object.__setattr__(self, "_nodes", (offsets[0], coefficients, factors[0]))
 
     @classmethod
     def _stack(cls, sigmas: list, rule: GHRule, basis: DirectionBasis) -> list:
@@ -177,24 +173,6 @@ def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     return derivatives
 
 
-def directional_derivative_gh(
-    f: Objective,
-    x: np.ndarray,
-    xi: np.ndarray,
-    sigma: float,
-    rule: GHRule,
-) -> float:
-    """Gauss-Hermite estimate of the smoothed directional derivative at x
-    along the unit vector xi, from exactly ``rule.order`` evaluations."""
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-10:
-        raise ValueError("direction must be a unit vector (1e-10 tolerance)")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    return float(_gh_derivatives(f, x, _gh_nodes_of(xi[None, :], sigma, rule))[0])
-
-
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     """DGS gradient estimate at x: the d directional GH derivatives along the
     basis directions, mapped back to standard coordinates.
@@ -208,27 +186,3 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     if x.shape != columns.shape[1:]:
         raise ValueError(f"point has shape {x.shape}, expected ({len(columns)},)")
     return columns @ _gh_derivatives(f, x, config._nodes)
-
-
-def gs_gradient_mc(
-    f: Objective,
-    x: np.ndarray,
-    sigma: float,
-    samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Monte Carlo estimate of the globally-smoothed gradient:
-    (1 / (N sigma)) * sum_k F(x + sigma u_k) u_k with u_k standard Gaussian.
-
-    Plain (no antithetic pairing) estimator; exactly ``samples`` objective
-    evaluations; deterministic given the seed.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((samples, x.shape[0]))
-    values = f.eval_batch(x[None, :] + sigma * u)
-    return (values @ u) / (samples * sigma)

@@ -803,6 +803,10 @@ class TestCli:
             {"noise": {"kind": "periodic", "alpha": 1.0, "amplitude": math.nan}},
             {"step_size": math.inf},
             {"noise": {"kind": "diminishing", "beta": math.inf}},
+            {"sigma_grid": [1e-15, 1.0]},
+            {"sigma_grid": [1e-15, 1.0], "schedule": {"kind": "two-phase-decay"}},
+            {"schedule": {"kind": "theorem3", "beta": 1e-4, "L": 2.0, "tau": 2.0,
+                          "r0_tilde": 1e-12}},
         ],
         ids=[
             "order-0", "order-65", "trials-abc", "beta-negative", "contraction-1.5",
@@ -813,7 +817,8 @@ class TestCli:
             "theorem3-rho-above-1", "schedule-kind-linear", "sigma-grid-inf",
             "sigma-overflow", "sigma-grid-string", "box-string", "trials-2.7", "order-5.5",
             "step-size-true", "box-minus-inf", "box-width-overflows", "amplitude-nan",
-            "step-size-inf", "beta-inf",
+            "step-size-inf", "beta-inf", "constant-below-floor", "two-phase-below-floor",
+            "theorem3-below-floor",
         ],
     )
     def test_invalid_value_is_one_error_line(self, overrides, tmp_path, capsys):

@@ -50,7 +50,7 @@ class TestPeriodicNoise:
         noise = PeriodicNoise(alpha=0.5)
         x = np.array([0.3, -1.2])
         np.testing.assert_allclose(
-            noise.evaluate(x), noise.evaluate(x + noise.period), atol=1e-12
+            noise.evaluate(x), noise.evaluate(x + 1.0 / noise.alpha), atol=1e-12
         )
 
     def test_batched_evaluation_matches_loop(self):

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +73,7 @@ class TestSchedules:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(sigma0=0.0), dict(sigma0=1.0, contraction=0.0),
+        [dict(sigma0=0.0), dict(sigma0=1e-15), dict(sigma0=1.0, contraction=0.0),
          dict(sigma0=1.0, contraction=1.5), dict(sigma0=1.0, switch_iteration=-1)],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -118,6 +120,13 @@ def test_law_matches_theorem3_to_rounding(beta, d, r0, tau):
 def test_every_exported_name_resolves():
     for name in dgs_opt.__all__:
         assert getattr(dgs_opt, name) is not None, name
+    # __all__ lists each name the package imports from its modules, once
+    tree = ast.parse(Path(dgs_opt.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert len(dgs_opt.__all__) == len(set(dgs_opt.__all__))
+    assert sorted(dgs_opt.__all__) == sorted(imported)
 
 
 class TestGdStep:

@@ -114,7 +114,7 @@ class TestExactness:
         for order in range(1, 11):
             rule = build_gh_rule(order)
             for k in range(2 * order):
-                got = rule.integrate(lambda v: v**k)
+                got = float(np.dot(rule.weights, rule.nodes**k))
                 want = gaussian_moment(k)
                 if want == 0.0:
                     assert abs(got) < 1e-10
@@ -123,7 +123,7 @@ class TestExactness:
 
     def test_degree_2m_is_not_exact(self):
         rule = build_gh_rule(3)
-        got = rule.integrate(lambda v: v**6)
+        got = float(np.dot(rule.weights, rule.nodes**6))
         assert abs(got - gaussian_moment(6)) > 1e-3
 
     def test_error_decreases_with_order(self):
@@ -132,8 +132,8 @@ class TestExactness:
         a = 3.0
         exact = math.sqrt(math.pi) * math.exp(-(a**2) / 4.0)
         errors = [
-            abs(build_gh_rule(order).integrate(lambda v: np.cos(a * v)) - exact)
-            for order in (2, 4, 6, 8, 10, 14, 18)
+            abs(float(np.dot(rule.weights, np.cos(a * rule.nodes))) - exact)
+            for rule in map(build_gh_rule, (2, 4, 6, 8, 10, 14, 18))
         ]
         assert all(e2 <= e1 for e1, e2 in zip(errors, errors[1:]))
         assert errors[-1] < 1e-12

@@ -9,8 +9,6 @@ from dgs_opt import (
     Objective,
     build_gh_rule,
     dgs_gradient,
-    directional_derivative_gh,
-    gs_gradient_mc,
     PeriodicNoise,
     identity_basis,
     sample_bandlimited,
@@ -18,6 +16,7 @@ from dgs_opt import (
     quadratic_objective,
     random_orthonormal_basis,
 )
+from dgs_opt.smoothing import _gh_derivatives, _gh_nodes
 
 
 def counting_objective(d, fn):
@@ -55,6 +54,21 @@ class TestBases:
         with pytest.raises(ValueError):
             DirectionBasis(np.eye(3)[:, :2])
 
+    def test_list_of_rows_is_stored_as_an_array(self):
+        basis = DirectionBasis([[1.0, 0.0], [0.0, 1.0]])
+        assert basis.dimension == 2
+        config = DGSConfig(sigma=0.5, rule=build_gh_rule(3), basis=basis)
+        np.testing.assert_allclose(dgs_gradient(quadratic_objective(2), np.ones(2), config),
+                                   [2.0, 2.0], atol=1e-12)
+
+    def test_caller_cannot_change_the_checked_columns(self):
+        columns = np.eye(2)
+        basis = DirectionBasis(columns)
+        columns[0, 1] = 5.0
+        np.testing.assert_array_equal(basis.columns, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            basis.columns[0, 1] = 5.0
+
 
 class TestDirectionalDerivative:
     def test_linear_function_is_exact(self):
@@ -62,33 +76,18 @@ class TestDirectionalDerivative:
             dimension=3,
             evaluate=lambda x: np.asarray(x, dtype=float) @ np.array([2.0, -1.0, 0.5]),
         )
-        xi = np.array([0.0, 1.0, 0.0])
-        got = directional_derivative_gh(f, np.zeros(3), xi, sigma=0.7, rule=build_gh_rule(2))
-        np.testing.assert_allclose(got, -1.0, atol=1e-12)
-
-    def test_non_unit_direction_rejected(self):
-        f = quadratic_objective(2)
-        with pytest.raises(ValueError, match="unit"):
-            directional_derivative_gh(
-                f, np.zeros(2), np.array([1.0, 1.0]), sigma=0.5, rule=build_gh_rule(3)
-            )
-
-    def test_uses_exactly_order_evaluations(self):
-        f, counter = counting_objective(2, lambda x: (x**2).sum(axis=-1))
-        directional_derivative_gh(
-            f, np.zeros(2), np.array([1.0, 0.0]), sigma=0.5, rule=build_gh_rule(7)
-        )
-        assert counter["n"] == 7
+        config = DGSConfig(sigma=0.7, rule=build_gh_rule(2), basis=identity_basis(3))
+        np.testing.assert_allclose(dgs_gradient(f, np.zeros(3), config), [2.0, -1.0, 0.5],
+                                   atol=1e-12)
 
     def test_nonfinite_value_raises_with_point(self):
         f = Objective(
             dimension=1,
             evaluate=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, np.inf, 0.0),
         )
+        config = DGSConfig(sigma=2.0, rule=build_gh_rule(5), basis=identity_basis(1))
         with pytest.raises(EvaluationError) as err:
-            directional_derivative_gh(
-                f, np.zeros(1), np.array([1.0]), sigma=2.0, rule=build_gh_rule(5)
-            )
+            dgs_gradient(f, np.zeros(1), config)
         assert err.value.point[0] > 1.0
 
 
@@ -121,7 +120,11 @@ class TestDGSGradient:
         x = np.random.default_rng(d).uniform(-3.0, 3.0, d)
         rule = build_gh_rule(order)
         got = dgs_gradient(f, x, DGSConfig(sigma=0.4, rule=rule, basis=identity_basis(d)))
-        want = [directional_derivative_gh(f, x, e, 0.4, rule) for e in np.eye(d)]
+        # each direction's derivative on its own, from its own one-row node set
+        want = []
+        for e in np.eye(d):
+            offsets, coefficients, factors = _gh_nodes(e[None, :], [0.4], rule)
+            want.append(_gh_derivatives(f, x, (offsets[0], coefficients, factors[0]))[0])
         np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
@@ -247,23 +250,3 @@ def test_evaluate_is_called_once_per_estimate_also_when_it_raises(bad):
             dgs_gradient(f, np.ones(d), config)
     assert calls == [order * d]
 
-
-class TestMonteCarloBaseline:
-    def test_deterministic_given_seed(self):
-        f = quadratic_objective(4)
-        x = np.ones(4)
-        a = gs_gradient_mc(f, x, sigma=0.5, samples=64, seed=5)
-        b = gs_gradient_mc(f, x, sigma=0.5, samples=64, seed=5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_approximates_gradient_with_many_samples(self):
-        f = quadratic_objective(3)
-        x = np.array([1.0, -1.0, 2.0])
-        # Gaussian smoothing leaves the gradient of a quadratic unchanged,
-        # so only Monte Carlo variance separates the estimate from 2x
-        est = gs_gradient_mc(f, x, sigma=0.5, samples=200_000, seed=0)
-        np.testing.assert_allclose(est, 2.0 * x, atol=0.15)
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            gs_gradient_mc(quadratic_objective(2), np.zeros(2), 0.5, samples=0, seed=1)
