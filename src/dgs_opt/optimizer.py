@@ -8,19 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import GHRule
-from .smoothing import DGSConfig, DirectionBasis, EvaluationError, Objective, dgs_gradient
+from .smoothing import (SIGMA_FLOOR, DirectionBasis, EvaluationError, Objective,
+                        _gh_derivatives, _gh_nodes)
+# unused by run, but perfbench/tracing.py patches optimizer.dgs_gradient by name
+from .smoothing import dgs_gradient  # noqa: F401
 from .theory import ConvexityConstants, diminishing_rate
-
-# Schedules whose radius decays below this stop the run: the estimator would
-# only amplify floating-point noise.
-SIGMA_FLOOR = 1e-14
 
 # Iterates beyond this norm abort the run before NaN cascades set in.
 DIVERGENCE_NORM = 1e12
-
-# Bytes of node offsets built per block of radii. run builds its configs this
-# many bytes of offsets ahead, so the block holds fewer steps as M * d^2 grows.
-_BLOCK_BYTES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -114,32 +109,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-def _block_steps(order: int, dimension: int) -> int:
-    """Steps per block of radii: as many radii as _BLOCK_BYTES of node
-    offsets hold, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * order * dimension * dimension))
-
-
-def _ahead(config: RunConfig, start: int) -> list:
-    """The DGSConfigs of the radii of one block of steps from ``start``,
-    last first, so that pop() gives them in step order. The block's radii
-    come from sigma_at and stop at max_iterations or before the first radius
-    below SIGMA_FLOOR, whose successors may underflow to 0. Each distinct
-    radius is built once, and all of them in one broadcast."""
-    schedule = config.schedule
-    steps = _block_steps(config.rule.order, config.basis.dimension)
-    radii: list[float] = []
-    radius = None
-    for t in range(start, min(start + steps, config.max_iterations)):
-        sigma = sigma_at(schedule, t)
-        if sigma != radius:
-            if sigma < SIGMA_FLOOR:
-                break
-            radii.append(sigma)
-            radius = sigma
-    return DGSConfig._stack(radii[::-1], config.rule, config.basis)
-
-
 def run(config: RunConfig) -> TrialRecord:
     """Iterate the DGS descent scheme from the initial point, recording each step.
 
@@ -147,22 +116,24 @@ def run(config: RunConfig) -> TrialRecord:
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
     always ends at the last finite iterate. The loop only steps: it reads
-    each step's radius from sigma_at, and only when the radius changes takes
-    the next config from _ahead, which builds a block of them at a time. The
-    objective and cosine columns are computed after it, from the stacked
-    iterates.
+    each step's radius once, from sigma_at, and builds that radius's node
+    offsets and factor with _gh_nodes, with no DGSConfig, only when it
+    differs from the last step's. So a constant radius is built once per
+    trial and a decaying one once per step. The objective and cosine columns
+    are computed after the loop, from the stacked iterates.
     """
-    f = config.objective
+    f, rule, columns = config.objective, config.rule, config.basis.columns
     d = f.dimension
+    nodes_at = _gh_nodes(columns.T, rule)  # rows of the transposed basis are the directions
     step_size, schedule, last = config.step_size, config.schedule, config.max_iterations
     x = np.array(config.initial_point, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"initial point has shape {x.shape}, expected ({d},)")
+    if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
+        raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
 
     iterates = [x]
     estimates: list[np.ndarray] = []
     sigmas: list[float] = []
-    status, radius, ahead = "ok", None, []
+    status, radius = "ok", None
     for t in range(last + 1):
         sigma = sigma_at(schedule, t)
         sigmas.append(sigma)
@@ -171,11 +142,9 @@ def run(config: RunConfig) -> TrialRecord:
         if sigma != radius:  # a radius below the floor always differs from the last
             if sigma < SIGMA_FLOOR:
                 break
-            if not ahead:
-                ahead = _ahead(config, t)
-            dgs, radius = ahead.pop(), sigma
+            nodes, radius = nodes_at(sigma), sigma
         try:
-            estimate = dgs_gradient(f, x, dgs)
+            estimate = columns @ _gh_derivatives(f, x, nodes)
         except EvaluationError:
             status = "diverged"
             break
@@ -205,7 +174,7 @@ def run(config: RunConfig) -> TrialRecord:
         objective_values=np.asarray(f.evaluate(iterates), dtype=float),
         cosine_similarities=cosines,
         sigmas=np.array(sigmas),
-        evaluation_count=t * config.rule.order * d,
+        evaluation_count=t * rule.order * d,
         iterations_run=t,
         status=status,
     )

@@ -17,6 +17,10 @@ from .quadrature import GHRule
 _SQRT2 = np.sqrt(2.0)
 _SQRT_PI = np.sqrt(np.pi)
 
+# The smallest radius an estimate is made at: below it estimates only amplify
+# rounding noise, and far below it the factor sqrt(2) / (sqrt(pi) sigma) overflows.
+SIGMA_FLOOR = 1e-14
+
 
 class EvaluationError(RuntimeError):
     """Objective returned a non-finite value; carries the offending point."""
@@ -97,29 +101,34 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(directions: np.ndarray, sigmas: list, rule: GHRule) -> tuple:
-    """What a Gauss-Hermite estimate along each row xi of ``directions``
-    needs besides x and F, for each radius sigma in ``sigmas``: the node
-    offsets sqrt(2) sigma v_m xi from x, as an (n, k * M, d) array whose
-    slice i is radius i's, direction-major; the coefficients w_m v_m; and
-    the factors sqrt(2) / (sqrt(pi) sigma), as a list of floats. One
-    broadcast serves the whole stack of radii, with the association of a
-    single radius, so each gets the same bits on its own or in a stack."""
+def _gh_nodes(directions: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
+    """The builder, one radius at a time, of what a Gauss-Hermite estimate
+    along each row xi of ``directions`` needs besides x and F: ``nodes_at(sigma)``
+    gives the node offsets ((sqrt(2) sigma) v_m) xi from x, as a (k * M, d)
+    array, direction-major; the coefficients w_m v_m; and the factor
+    sqrt(2) / (sqrt(pi) sigma). The coefficients and the shaped nodes and
+    directions depend on the rule and the directions alone, so they are built
+    here once, and each radius costs two array operations."""
     k, d = directions.shape
-    sigmas = np.asarray(sigmas, dtype=float)
-    offsets = ((_SQRT2 * sigmas)[:, None, None, None] * rule.nodes[None, None, :, None]
-               * directions[None, :, None, :]).reshape(len(sigmas), k * rule.order, d)
-    return offsets, rule.weights * rule.nodes, (_SQRT2 / (_SQRT_PI * sigmas)).tolist()
+    nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
+    # C-ordered directions give C-ordered offsets, which reshape without a copy
+    directions = np.ascontiguousarray(directions)[:, None, :]
+
+    def nodes_at(sigma: float) -> tuple:
+        offsets = ((_SQRT2 * sigma) * nodes) * directions
+        return (offsets.reshape(k * rule.order, d), coefficients,
+                float(_SQRT2 / (_SQRT_PI * sigma)))
+
+    return nodes_at
 
 
 @dataclass(frozen=True, eq=False)
 class DGSConfig:
     """Smoothing radius, quadrature rule and direction basis for one estimate.
 
-    The node offsets and coefficients depend on these alone, so a config
-    builds them once, and every estimate made with it reuses them. A config
-    built directly is the stack-of-one case of ``_gh_nodes``; ``_stack``
-    builds the configs of many radii in one broadcast, with the same bits.
+    The node offsets, coefficients and factor depend on these alone, so a
+    config builds them once, with _gh_nodes, and every estimate made with it
+    reuses them. A radius below SIGMA_FLOOR, or infinite, is a ValueError.
     """
 
     sigma: float
@@ -127,26 +136,11 @@ class DGSConfig:
     basis: DirectionBasis
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not SIGMA_FLOOR <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and at least {SIGMA_FLOOR:g}, "
+                             f"got {self.sigma}")
         # rows of the transposed basis are the directions xi_i
-        offsets, coefficients, factors = _gh_nodes(self.basis.columns.T, [self.sigma], self.rule)
-        object.__setattr__(self, "_nodes", (offsets[0], coefficients, factors[0]))
-
-    @classmethod
-    def _stack(cls, sigmas: list, rule: GHRule, basis: DirectionBasis) -> list:
-        """One config per radius in ``sigmas`` (each > 0), with the bits
-        ``DGSConfig(sigma, rule, basis)`` has, and their node offsets built
-        in one broadcast."""
-        offsets, coefficients, factors = _gh_nodes(basis.columns.T, sigmas, rule)
-        configs = []
-        for sigma, o, factor in zip(sigmas, offsets, factors):
-            config = object.__new__(cls)
-            fields = config.__dict__  # filled key by key: cheaper than update(**fields)
-            fields["sigma"], fields["rule"], fields["basis"] = sigma, rule, basis
-            fields["_nodes"] = (o, coefficients, factor)
-            configs.append(config)
-        return configs
+        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns.T, self.rule)(self.sigma))
 
 
 def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:

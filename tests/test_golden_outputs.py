@@ -3,8 +3,8 @@ kinds write for six small sweeps, held against frozen sha256 digests.
 
 The sweeps cover a constant radius with and without diverging trials, a
 bandlimited draw at M = 40 on a random basis, a two-phase radius that
-switches inside a block of node offsets, one that stops at the sigma floor,
-and Theorem 3's radius. Each runs at `--jobs` 1 and 2.
+switches from constant to decaying mid-run, one that stops at the sigma
+floor, and Theorem 3's radius. Each runs at `--jobs` 1 and 2.
 
 numpy's float64 `sin` and `pow` may round differently on another CPU or
 numpy version, so the numpy version and the SIMD targets it runs on are
@@ -57,8 +57,9 @@ CONFIGS = {
     "bandlimited-m40": _doc(
         experiment="bandlimited-sweep", noise={"kind": "bandlimited", "alpha0": 1.0},
         sigma_grid=[0.1, 1.0, 10.0], quadrature_order=40, basis="random"),
-    # M = 5, d = 3: a block of node offsets holds 91 radii, so the switch
-    # at step 50 falls inside one
+    # 50 steps at one radius, then a new radius every step. The name is the
+    # frozen digests' key; it dates from when radii were built in blocks of
+    # 91 steps, and the switch fell inside one.
     "two-phase-switch-mid-block": _doc(
         experiment="diminishing-two-phase", basis="random", max_iterations=120,
         schedule={"kind": "two-phase-decay", "switch_iteration": 50, "contraction": 0.95}),

@@ -26,7 +26,7 @@ from dgs_opt import (
     sigma_at,
     theorem3_schedule,
 )
-from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR, _block_steps
+from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
@@ -201,6 +201,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(make_run_config(quadratic_objective(3), initial_point=np.zeros(2)))
 
+    def test_basis_of_another_dimension_is_rejected_before_a_step(self):
+        # (M, 1) offsets would broadcast against a 3-D point and move every
+        # coordinate by one derivative
+        config = make_run_config(quadratic_objective(3), basis=identity_basis(1))
+        with pytest.raises(ValueError, match=r"basis \(1, 1\) is not 3-dimensional"):
+            run(config)
+
 
 def _concave_capped(d):
     """-|x|^2, minus infinity outside the cube |x_i| <= 6: descent walks out of
@@ -343,8 +350,8 @@ def _reference_steps(cfg):
     SigmaSchedule(0.3, switch_iteration=15, contraction=0.9),
     theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5),
 ], ids=["constant", "two-phase", "theorem3"])
-def test_run_reuses_a_config_per_radius_without_moving_a_bit(schedule, basis):
-    # run builds a new DGSConfig only when the radius changes
+def test_run_reuses_node_offsets_per_radius_without_moving_a_bit(schedule, basis):
+    # run builds a radius's node offsets only when the radius changes
     f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=8))
     cfg = make_run_config(
         f, schedule=schedule, rule=build_gh_rule(7), max_iterations=40,
@@ -357,65 +364,55 @@ def test_run_reuses_a_config_per_radius_without_moving_a_bit(schedule, basis):
     _assert_per_step_columns(cfg, rec)
 
 
-_STEPS = _block_steps(7, 5)  # steps per block of radii for the cases below
 _THEOREM3 = theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5)
-_BLOCK_CASES = {
-    # name: (run config overrides, status, where the stop step lands among the blocks)
-    "constant-over-3-blocks": (dict(schedule=SigmaSchedule(0.3), max_iterations=3 * _STEPS + 5),
-                               "ok", lambda t: t > 3 * _STEPS),
-    "two-phase-switch-mid-block": (
-        dict(schedule=SigmaSchedule(0.3, _STEPS + _STEPS // 2, 0.9), max_iterations=4 * _STEPS),
-        "ok", lambda t: t == 4 * _STEPS),
-    "two-phase-switch-on-block-edge": (
-        dict(schedule=SigmaSchedule(0.3, 2 * _STEPS, 0.9), max_iterations=4 * _STEPS),
-        "ok", lambda t: t == 4 * _STEPS),
-    # the radius holds through two blocks, then its first contraction is below the floor
-    "floor-on-block-edge": (
-        dict(schedule=SigmaSchedule(1.0, 2 * _STEPS - 1, 1e-15), max_iterations=4 * _STEPS),
-        "ok", lambda t: t == 2 * _STEPS),
-    # a new radius every step, so every block but the last is full, and the last ends on its edge
-    "decaying-to-max-iterations-on-block-edge": (
-        dict(schedule=_THEOREM3, max_iterations=3 * _STEPS),
-        "ok", lambda t: t == 3 * _STEPS),
+_STOP_CASES = {
+    # name: (run config overrides, status, steps taken)
+    "constant": (dict(schedule=SigmaSchedule(0.3), max_iterations=74), "ok", 74),
+    "two-phase-switch-at-34": (
+        dict(schedule=SigmaSchedule(0.3, 34, 0.9), max_iterations=92), "ok", 92),
+    "two-phase-switch-at-46": (
+        dict(schedule=SigmaSchedule(0.3, 46, 0.9), max_iterations=92), "ok", 92),
+    # the radius holds for 46 steps, then its first contraction is below the floor
+    "floor-after-switch-at-45": (
+        dict(schedule=SigmaSchedule(1.0, 45, 1e-15), max_iterations=92), "ok", 46),
+    # a new radius every step up to max_iterations
+    "decaying-to-max-iterations": (dict(schedule=_THEOREM3, max_iterations=69), "ok", 69),
     # 1,740 steps to the floor, as in the theorem3-cli benchmark workload
-    "theorem3-to-floor": (dict(schedule=_THEOREM3, max_iterations=2000),
-                          "ok", lambda t: t == 1740 and t % _STEPS != 0),
-    "norm-blowup-mid-block": (
+    "theorem3-to-floor": (dict(schedule=_THEOREM3, max_iterations=2000), "ok", 1740),
+    "norm-blowup": (
         dict(objective=quadratic_objective(5), step_size=1.05, max_iterations=2000,
-             schedule=SigmaSchedule(0.3, _STEPS // 2, 0.99)),
-        "diverged", lambda t: t > _STEPS and t % _STEPS != 0),
-    "nonfinite-eval-mid-block": (
+             schedule=SigmaSchedule(0.3, 11, 0.99)), "diverged", 271),
+    "nonfinite-eval": (
         dict(objective=_concave_capped(5), initial_point=np.ones(5), step_size=0.1,
-             max_iterations=2000, schedule=_THEOREM3),
-        "diverged", lambda t: t % _STEPS != 0),
+             max_iterations=2000, schedule=_THEOREM3), "diverged", 10),
 }
 
 
 @pytest.mark.parametrize("basis", ["identity", "random"])
-@pytest.mark.parametrize("case", list(_BLOCK_CASES))
-def test_run_reads_radii_in_blocks_without_moving_a_bit(case, basis):
-    # run reads its radii and builds their node offsets a block of steps
-    # ahead; stops and radius changes inside a block or on its edge keep
-    # the per-step reference's bits, steps and status
-    overrides, want_status, stop_lands = _BLOCK_CASES[case]
+@pytest.mark.parametrize("case", list(_STOP_CASES))
+def test_run_builds_each_new_radius_without_moving_a_bit(case, basis):
+    # run reads each step's radius and builds its node offsets when it
+    # changes; radius changes and stops of every kind keep the per-step
+    # reference's bits, steps and status
+    overrides, want_status, want_steps = _STOP_CASES[case]
     kwargs = dict(objective=power_sum_sqrt_objective(
         5, noise=sample_bandlimited(5, 1.0, 20, seed=8)), rule=build_gh_rule(7),
         basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
     cfg = make_run_config(**{**kwargs, **overrides})
     rec = run(cfg)
     iterates, sigmas, steps, status = _reference_steps(cfg)
-    assert stop_lands(rec.iterations_run) and rec.status == want_status
+    assert (rec.iterations_run, rec.status) == (want_steps, want_status)
     assert rec.iterates.tobytes() == np.array(iterates).tobytes()
     assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
     assert (rec.iterations_run, rec.status) == (steps, status)
 
 
-def test_radius_underflowing_inside_a_block_stops_at_the_floor():
-    # the radii after the floor stop underflow to 0; reading them a block
-    # ahead must neither build their nodes nor warn
+def test_radius_underflowing_below_the_floor_stops_without_a_warning():
+    # the radii after the floor underflow to 0; the run must neither build
+    # their nodes nor warn
     cfg = make_run_config(quadratic_objective(3), schedule=SigmaSchedule(1.0, 0, 1e-10),
                           max_iterations=500)
-    assert sigma_at(cfg.schedule, 40) == 0.0 and 40 < _block_steps(5, 3)
+    assert sigma_at(cfg.schedule, 40) == 0.0
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         rec = run(cfg)
@@ -427,20 +424,28 @@ def test_radius_underflowing_inside_a_block_stops_at_the_floor():
 
 
 @pytest.mark.parametrize("case,builds", [
-    ("constant-over-3-blocks", 1),
-    # one build for the constant phase, then blocks from the first decayed radius
-    # to max_iterations, which ends the last block early
-    ("two-phase-switch-mid-block", 1 + -(-(4 * _STEPS - (_STEPS + _STEPS // 2 + 1)) // _STEPS)),
-    ("theorem3-to-floor", -(-1740 // _STEPS)),
+    ("constant", 1),
+    # the constant phase, t = 0 to 34, then a new radius each step from 35 to 91
+    ("two-phase-switch-at-34", 1 + 57),
+    ("theorem3-to-floor", 1740),
+    # the radius below the floor stops the run unbuilt
+    ("floor-after-switch-at-45", 1),
 ])
-def test_node_offsets_are_built_once_per_block_of_new_radii(case, builds, monkeypatch):
-    # a constant radius is built once per trial, a decaying one once per
-    # block, and no step builds its own
-    calls = []
-    gh_nodes = dgs_opt.smoothing._gh_nodes
-    monkeypatch.setattr(dgs_opt.smoothing, "_gh_nodes",
-                        lambda *args: calls.append(len(args[1])) or gh_nodes(*args))
-    cfg = make_run_config(quadratic_objective(5), rule=build_gh_rule(7), **_BLOCK_CASES[case][0])
+def test_node_offsets_are_built_once_per_radius_change(case, builds, monkeypatch):
+    # the rule's and the basis's share is shaped once per trial; a constant
+    # radius is built once per trial, a decaying one once per step
+    builders, calls = [], []
+    gh_nodes = dgs_opt.optimizer._gh_nodes
+
+    def counted(directions, rule):
+        nodes_at = gh_nodes(directions, rule)
+        builders.append(rule)
+        return lambda sigma: calls.append(sigma) or nodes_at(sigma)
+
+    monkeypatch.setattr(dgs_opt.optimizer, "_gh_nodes", counted)
+    cfg = make_run_config(quadratic_objective(5), rule=build_gh_rule(7), **_STOP_CASES[case][0])
     rec = run(cfg)
-    assert len(calls) == builds
-    assert sum(calls) == len(set(rec.sigmas[:-1]))
+    stepped = rec.sigmas[:rec.iterations_run].tolist()
+    assert builders == [cfg.rule] and len(calls) == builds
+    assert calls == [s for t, s in enumerate(stepped) if t == 0 or s != stepped[t - 1]]
+    assert min(calls) >= SIGMA_FLOOR

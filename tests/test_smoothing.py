@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from dgs_opt import (
     quadratic_objective,
     random_orthonormal_basis,
 )
-from dgs_opt.smoothing import _gh_derivatives, _gh_nodes
+from dgs_opt.smoothing import SIGMA_FLOOR, _gh_derivatives, _gh_nodes
 
 
 def counting_objective(d, fn):
@@ -123,8 +125,7 @@ class TestDGSGradient:
         # each direction's derivative on its own, from its own one-row node set
         want = []
         for e in np.eye(d):
-            offsets, coefficients, factors = _gh_nodes(e[None, :], [0.4], rule)
-            want.append(_gh_derivatives(f, x, (offsets[0], coefficients, factors[0]))[0])
+            want.append(_gh_derivatives(f, x, _gh_nodes(e[None, :], rule)(0.4))[0])
         np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
@@ -153,6 +154,21 @@ class TestDGSGradient:
         with pytest.raises(ValueError):
             dgs_gradient(f, np.zeros(4), cfg)
 
+    @pytest.mark.parametrize("sigma", [1e-320, np.nextafter(SIGMA_FLOOR, 0.0), 0.0, -1.0, np.nan,
+                                       np.inf])
+    def test_radius_below_the_floor_or_infinite_rejected(self, sigma):
+        # at 1e-320 the factor sqrt(2) / (sqrt(pi) sigma) overflows to inf,
+        # and every estimate made with the config would be NaN; at inf the
+        # middle node's offset is inf * 0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and at least 1e-14"):
+                DGSConfig(sigma, build_gh_rule(5), identity_basis(3))
+
+    def test_radius_at_the_floor_accepted(self):
+        config = DGSConfig(SIGMA_FLOOR, build_gh_rule(5), identity_basis(3))
+        assert np.all(np.isfinite(dgs_gradient(quadratic_objective(3), np.ones(3), config)))
+
 
 _RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
 
@@ -162,19 +178,22 @@ _RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
        basis_seed=st.none() | st.integers(0, 2**32 - 1),
        sigmas=st.lists(_RADII, min_size=1, max_size=5).flatmap(
            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
-def test_stacked_configs_have_each_radius_bits(order, d, basis_seed, sigmas):
-    # one broadcast builds a block of radii; repeats included, each radius
-    # gets the node offsets, coefficients and factor it gets on its own, and
-    # those of the single-radius expression the stack replaced
+def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed, sigmas):
+    # one builder serves a trial's radii, repeats included, in two array
+    # operations each; every radius gets, from it and in a config, the node
+    # offsets, coefficients and factor of the plain single-radius expression,
+    # byte for byte, and a later radius leaves an earlier one's untouched
     rule = build_gh_rule(order)
     basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
     directions = basis.columns.T
-    for sigma, config in zip(sigmas, DGSConfig._stack(sigmas, rule, basis)):
+    nodes_at = _gh_nodes(directions, rule)
+    built = [nodes_at(sigma) for sigma in sigmas]
+    for sigma, nodes in zip(sigmas, built):
+        config = DGSConfig(sigma, rule, basis)
         assert (config.sigma, config.rule, config.basis) == (sigma, rule, basis)
-        offsets, coefficients, scale = config._nodes
-        for want in (DGSConfig(sigma, rule, basis)._nodes,
-                     (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
-                      rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))):
+        want = (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
+                rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))
+        for offsets, coefficients, scale in (nodes, config._nodes):
             assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
             assert coefficients.tobytes() == want[1].tobytes()
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
