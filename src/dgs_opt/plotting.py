@@ -7,19 +7,39 @@ by striding before drawing to keep files small.
 from __future__ import annotations
 
 import math
+import sys
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .harness import PlotData, write_text
 
-# The PlotData traces each kind draws (see harness.TRACES), and so the only
-# ones `dgs-opt plot` reads back for it.
-PLOT_TRACES = {
-    "convergence-curves": ("mean_dist_traces",),
-    "cosine-vs-iteration": ("mean_cosine_traces",),
-    "final-dist-vs-sigma": (),
+
+class Chart(NamedTuple):
+    """One chart kind: the PlotData trace it draws against the iteration
+    (None: the mean final distance against sigma, with markers), its title
+    and axis labels, and whether each axis is log10."""
+
+    trace: Optional[str]
+    title: str
+    x_label: str
+    y_label: str
+    x_log: bool
+    y_log: bool
+
+
+# A kind's trace (see harness.TRACES) is the only one `dgs-opt plot` reads
+# back for it.
+CHARTS = {
+    "convergence-curves": Chart("mean_dist_traces", "Mean distance to optimum vs iteration",
+                                "iteration", "mean distance", False, True),
+    "cosine-vs-iteration": Chart("mean_cosine_traces",
+                                 "Mean gradient cosine similarity vs iteration",
+                                 "iteration", "mean cosine similarity", False, False),
+    "final-dist-vs-sigma": Chart(None, "Final distance to optimum vs smoothing radius",
+                                 "sigma", "mean final distance", True, True),
 }
-PLOT_KINDS = tuple(PLOT_TRACES)
+PLOT_KINDS = tuple(CHARTS)
 
 _WIDTH, _HEIGHT = 800, 500
 _LEFT, _RIGHT, _TOP, _BOTTOM = 75, 170, 30, 55
@@ -28,6 +48,7 @@ _PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 _MAX_POINTS = 2000
+_Y_FLOOR = 1e-16  # the least value a log y axis draws
 
 
 def _num(x: float) -> str:
@@ -37,6 +58,9 @@ def _num(x: float) -> str:
 def _log_ticks(lo: float, hi: float) -> list[float]:
     a = math.floor(math.log10(lo))
     b = math.ceil(math.log10(hi))
+    if a < -323 or b > 308:  # 10.0**a would be 0, or 10.0**b overflow
+        raise ValueError(f"cannot place log ticks from {_num(lo)} to {_num(hi)}: "
+                         "a decade is beyond the float range")
     step = max(1, (b - a) // 8)
     return [10.0**e for e in range(a, b + 1, step)]
 
@@ -44,6 +68,11 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 def _linear_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     raw = span / 5.0
+    # the step is at least raw: below an ulp of the ends it would not advance
+    # t, and below the least normal float it has no power of ten
+    if not max(math.ulp(max(abs(lo), abs(hi))), sys.float_info.min) <= raw < math.inf:
+        why = "beyond the float range" if raw == math.inf else "below float precision"
+        raise ValueError(f"cannot place ticks from {_num(lo)} to {_num(hi)}: the span is {why}")
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw) * mag
     start = math.ceil(lo / step) * step
@@ -56,9 +85,13 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
 
 
 class _Axis:
-    """Maps data coordinates to pixels on one axis, linear or log10."""
+    """Maps data coordinates to pixels on one axis, linear or log10, and
+    places its ticks. An empty linear range is widened by 1."""
 
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float, log: bool):
+        if not log and hi <= lo:
+            hi = lo + 1.0
+        self.ends = lo, hi  # the data range the ticks cover
         if log:
             lo, hi = math.log10(lo), math.log10(hi)
         if hi <= lo:
@@ -74,6 +107,14 @@ class _Axis:
         # math.log10 per value: np.log10 may differ from it by an ulp
         v = np.asarray([math.log10(u) for u in vs] if self.log else vs, dtype=float)
         return self.px_lo + (v - self.lo) / (self.hi - self.lo) * (self.px_hi - self.px_lo)
+
+    def ticks(self) -> list[tuple[float, str]]:
+        """The pixel and label of each tick within half a pixel of the axis;
+        a ValueError when the range cannot carry float ticks."""
+        values = (_log_ticks if self.log else _linear_ticks)(*self.ends)
+        first, last = sorted((self.px_lo, self.px_hi))
+        return [(px, _tick_label(t, self.log)) for t, px in zip(values, self(values))
+                if first - 0.5 <= px <= last + 0.5]
 
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
@@ -100,24 +141,15 @@ def _decimate(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs[idx], ys[idx]
 
 
-def _render(
-    series: list[tuple[str, np.ndarray, np.ndarray]],
-    title: str,
-    x_label: str,
-    y_label: str,
-    x_log: bool,
-    y_log: bool,
-    y_floor: float = 1e-16,
-    markers: bool = False,
-) -> str:
+def _render(series: list[tuple[str, np.ndarray, np.ndarray]], chart: Chart) -> str:
     clipped = []
     for label, xs, ys in series:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        if y_log:
-            ys = np.maximum(ys, y_floor)
-        if x_log:
+        if chart.y_log:
+            ys = np.maximum(ys, _Y_FLOOR)
+        if chart.x_log:
             keep &= xs > 0
         xs, ys = _decimate(xs[keep], ys[keep])
         if len(xs):
@@ -125,79 +157,50 @@ def _render(
     if not clipped:
         raise ValueError("nothing to plot: no finite data points")
 
-    x_min = min(s[1].min() for s in clipped)
-    x_max = max(s[1].max() for s in clipped)
-    y_min = min(s[2].min() for s in clipped)
-    y_max = max(s[2].max() for s in clipped)
-    if not y_log:
+    # Python floats: a span beyond the float range is inf, without a warning
+    x_min, y_min = (float(min(s[i].min() for s in clipped)) for i in (1, 2))
+    x_max, y_max = (float(max(s[i].max() for s in clipped)) for i in (1, 2))
+    if not chart.y_log:
         pad = 0.05 * (y_max - y_min or 1.0)
         y_min, y_max = y_min - pad, y_max + pad
-    if not x_log and x_max == x_min:
-        x_max = x_min + 1.0
 
-    ax = _Axis(x_min, x_max, _LEFT, _WIDTH - _RIGHT, x_log)
-    ay = _Axis(y_min, y_max, _HEIGHT - _BOTTOM, _TOP, y_log)
+    ax = _Axis(x_min, x_max, _LEFT, _WIDTH - _RIGHT, chart.x_log)
+    ay = _Axis(y_min, y_max, _HEIGHT - _BOTTOM, _TOP, chart.y_log)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" font-size="15">{title}</text>',
-    ]
-    # axes box
-    out.append(
+        f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" font-size="15">{chart.title}</text>',
         f'<rect x="{_LEFT}" y="{_TOP}" width="{_WIDTH - _RIGHT - _LEFT}" '
-        f'height="{_HEIGHT - _BOTTOM - _TOP}" fill="none" stroke="black"/>'
-    )
-    x_ticks = _log_ticks(x_min, x_max) if x_log else _linear_ticks(x_min, x_max)
-    for t, px in zip(x_ticks, ax(x_ticks)):
-        if not _LEFT - 0.5 <= px <= _WIDTH - _RIGHT + 0.5:
-            continue
-        out.append(
-            f'<line x1="{_num(px)}" y1="{_HEIGHT - _BOTTOM}" x2="{_num(px)}" '
-            f'y2="{_HEIGHT - _BOTTOM + 5}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_num(px)}" y="{_HEIGHT - _BOTTOM + 18}" text-anchor="middle">'
-            f"{_tick_label(t, x_log)}</text>"
-        )
-    y_ticks = _log_ticks(y_min, y_max) if y_log else _linear_ticks(y_min, y_max)
-    for t, py in zip(y_ticks, ay(y_ticks)):
-        if not _TOP - 0.5 <= py <= _HEIGHT - _BOTTOM + 0.5:
-            continue
-        out.append(
-            f'<line x1="{_LEFT - 5}" y1="{_num(py)}" x2="{_LEFT}" y2="{_num(py)}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_LEFT - 8}" y="{_num(py + 4)}" text-anchor="end">'
-            f"{_tick_label(t, y_log)}</text>"
-        )
-    out.append(
-        f'<text x="{(_LEFT + _WIDTH - _RIGHT) // 2}" y="{_HEIGHT - 12}" '
-        f'text-anchor="middle">{x_label}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{(_TOP + _HEIGHT - _BOTTOM) // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(_TOP + _HEIGHT - _BOTTOM) // 2})">{y_label}</text>'
-    )
+        f'height="{_HEIGHT - _BOTTOM - _TOP}" fill="none" stroke="black"/>',  # the axes box
+    ]
+    for px, label in ax.ticks():
+        out += [f'<line x1="{_num(px)}" y1="{_HEIGHT - _BOTTOM}" x2="{_num(px)}" '
+                f'y2="{_HEIGHT - _BOTTOM + 5}" stroke="black"/>',
+                f'<text x="{_num(px)}" y="{_HEIGHT - _BOTTOM + 18}" text-anchor="middle">'
+                f"{label}</text>"]
+    for py, label in ay.ticks():
+        out += [f'<line x1="{_LEFT - 5}" y1="{_num(py)}" x2="{_LEFT}" y2="{_num(py)}" '
+                'stroke="black"/>',
+                f'<text x="{_LEFT - 8}" y="{_num(py + 4)}" text-anchor="end">{label}</text>']
+    out += [f'<text x="{(_LEFT + _WIDTH - _RIGHT) // 2}" y="{_HEIGHT - 12}" '
+            f'text-anchor="middle">{chart.x_label}</text>',
+            f'<text x="18" y="{(_TOP + _HEIGHT - _BOTTOM) // 2}" text-anchor="middle" '
+            f'transform="rotate(-90 18 {(_TOP + _HEIGHT - _BOTTOM) // 2})">{chart.y_label}</text>']
 
     for k, (label, xs, ys) in enumerate(clipped):
         color = _PALETTE[k % len(_PALETTE)]
         px, py = ax(xs), ay(ys)
-        out.append(
-            f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        if markers:
-            for x, y in zip(px, py):
-                out.append(f'<circle cx="{_num(x)}" cy="{_num(y)}" r="3" fill="{color}"/>')
-        ly = _TOP + 15 + 18 * k
-        lx = _WIDTH - _RIGHT + 12
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(f'<text x="{lx + 28}" y="{ly}">{label}</text>')
+        out.append(f'<polyline points="{_points(px, py)}" fill="none" stroke="{color}" '
+                   'stroke-width="1.5"/>')
+        if chart.trace is None:  # the sigma chart marks its few points
+            out += [f'<circle cx="{_num(x)}" cy="{_num(y)}" r="3" fill="{color}"/>'
+                    for x, y in zip(px, py)]
+        ly, lx = _TOP + 15 + 18 * k, _WIDTH - _RIGHT + 12
+        out += [f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"/>',
+                f'<text x="{lx + 28}" y="{ly}">{label}</text>']
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -206,46 +209,16 @@ def _render(
 def render_plot(summary: PlotData, kind: str) -> str:
     """SVG text for one chart of a sweep: a live ``SweepSummary`` or the
     ``PlotData`` read back from its CSVs."""
-    if kind not in PLOT_KINDS:
+    if kind not in CHARTS:
         raise ValueError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
-    if kind == "final-dist-vs-sigma":
-        sig = np.array(summary.sigmas)
-        series = [("mean final dist", sig, np.asarray(summary.mean_final_dist))]
-        return _render(
-            series,
-            title="Final distance to optimum vs smoothing radius",
-            x_label="sigma",
-            y_label="mean final distance",
-            x_log=True,
-            y_log=True,
-            markers=True,
-        )
-    (field,) = PLOT_TRACES[kind]
-    traces = getattr(summary, field)
-    series = []
-    for g, sigma in enumerate(summary.sigmas):
-        trace = traces[g]
-        if trace is None:
-            continue
-        its = np.arange(len(trace), dtype=float)
-        series.append((f"sigma={_num(sigma)}", its, np.asarray(trace)))
-    if kind == "convergence-curves":
-        return _render(
-            series,
-            title="Mean distance to optimum vs iteration",
-            x_label="iteration",
-            y_label="mean distance",
-            x_log=False,
-            y_log=True,
-        )
-    return _render(
-        series,
-        title="Mean gradient cosine similarity vs iteration",
-        x_label="iteration",
-        y_label="mean cosine similarity",
-        x_log=False,
-        y_log=False,
-    )
+    chart = CHARTS[kind]
+    if chart.trace is None:
+        series = [("mean final dist", summary.sigmas, summary.mean_final_dist)]
+    else:
+        series = [(f"sigma={_num(sigma)}", np.arange(len(trace), dtype=float), trace)
+                  for sigma, trace in zip(summary.sigmas, getattr(summary, chart.trace))
+                  if trace is not None]
+    return _render(series, chart)
 
 
 def emit_plot(summary: PlotData, kind: str, path) -> None:

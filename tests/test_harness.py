@@ -3,7 +3,11 @@ import copy
 import hashlib
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -695,6 +699,43 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), captured.err
         assert str(path) in err[0]
+
+    # Read-back files whose axis range cannot carry ticks, by the summary
+    # rows, the trace_grid00.csv rows (None: no trace file), the kind, and
+    # the reason the error gives. In "ulp-step" the cosine axis spans one
+    # ulp of 1e16 (2.0), so a tick step of 0.5 would not advance.
+    _NO_TICKS = {
+        "ulp-step": (["1,1,0,1,1"], ["0,0,1,1,1,1e16", "0,1,1,1,1,1.0000000000000002e16"],
+                     "cosine-vs-iteration", "the span is below float precision"),
+        "linear-overflow": (["1,1,0,1,1"], ["0,0,1,1,1,1e308", "0,1,1,1,1,-1e308"],
+                            "cosine-vs-iteration", "the span is beyond the float range"),
+        "log-overflow": (["1,1,0,1,1"], ["0,0,1,1e305,1,1", "0,1,1,1.7e308,1,1"],
+                         "convergence-curves", "a decade is beyond the float range"),
+        "subnormal-sigma": (["5e-324,1,0,1,1"], None,
+                            "final-dist-vs-sigma", "a decade is beyond the float range"),
+    }
+
+    @pytest.mark.parametrize("case", list(_NO_TICKS))
+    def test_plot_range_without_float_ticks_is_one_error_line(self, case, tmp_path):
+        # in a child process with a time and an address-space limit, so that
+        # a tick loop that never ends fails the test rather than stalling it
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        summary, trace, kind, reason = self._NO_TICKS[case]
+        (tmp_path / "summary.csv").write_text("\n".join([SUMMARY_HEADER, *summary]) + "\n")
+        if trace is not None:
+            (tmp_path / "trace_grid00.csv").write_text("\n".join([TRACE_HEADER, *trace]) + "\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "dgs_opt.cli", "plot", str(tmp_path / "summary.csv"),
+             "--kind", kind, "--out", str(tmp_path / "plot.svg")],
+            capture_output=True, text=True, timeout=20, preexec_fn=limit_memory,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])})
+        assert done.returncode == 1, done.stderr
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot place "), done.stderr
+        assert err[0].endswith(reason)
+        assert not (tmp_path / "plot.svg").exists()
 
     @pytest.mark.parametrize("case", ["blank-lines", "no-final-newline", "crlf", "header-only",
                                       "blank-lines-then-bad-value", "non-utf8-last-row"])
