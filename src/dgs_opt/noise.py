@@ -29,12 +29,13 @@ class PeriodicNoise:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0 < self.alpha < np.inf and np.isfinite(self.amplitude)):
+            raise ValueError(f"alpha must be positive and finite and amplitude finite, "
+                             f"got {self.alpha} and {self.amplitude}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        return self.amplitude * np.add.reduce(np.sin(_TWO_PI * self.alpha * x), -1)
+        total = np.add.reduce(np.sin(_TWO_PI * self.alpha * np.asarray(x, dtype=float)), -1)
+        return total if self.amplitude == 1.0 else self.amplitude * total  # 1.0 * v is v
 
 
 @dataclass(frozen=True, eq=False)

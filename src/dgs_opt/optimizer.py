@@ -9,7 +9,7 @@ import numpy as np
 
 from .quadrature import GHRule
 from .smoothing import (SIGMA_FLOOR, DirectionBasis, EvaluationError, Objective,
-                        _gh_derivatives, _gh_nodes)
+                        _gh_gradient, _gh_nodes)
 # unused by run, but perfbench/tracing.py patches optimizer.dgs_gradient by name
 from .smoothing import dgs_gradient  # noqa: F401
 from .theory import ConvexityConstants, diminishing_rate
@@ -29,8 +29,8 @@ class SigmaSchedule:
     contraction: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma0 >= SIGMA_FLOOR:  # a run would stop before its first step
-            raise ValueError(f"sigma0 must be at least {SIGMA_FLOOR:g}, got {self.sigma0}")
+        if not SIGMA_FLOOR <= self.sigma0 < math.inf:  # else a run would take no step
+            raise ValueError(f"sigma0 must be finite and >= {SIGMA_FLOOR:g}, got {self.sigma0}")
         if not 0.0 < self.contraction <= 1.0:
             raise ValueError(f"contraction must be in (0,1], got {self.contraction}")
         if self.switch_iteration < 0:
@@ -73,8 +73,8 @@ class RunConfig:
     initial_point: np.ndarray
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -119,12 +119,13 @@ def run(config: RunConfig) -> TrialRecord:
     each step's radius once, from sigma_at, and builds that radius's node
     offsets and factor with _gh_nodes, with no DGSConfig, only when it
     differs from the last step's. So a constant radius is built once per
-    trial and a decaying one once per step. The objective and cosine columns
-    are computed after the loop, from the stacked iterates.
+    trial and a decaying one once per step. Each estimate is _gh_gradient's,
+    as in dgs_gradient. The objective and cosine columns are computed after
+    the loop, from the stacked iterates.
     """
     f, rule, columns = config.objective, config.rule, config.basis.columns
     d = f.dimension
-    nodes_at = _gh_nodes(columns.T, rule)  # rows of the transposed basis are the directions
+    nodes_at = _gh_nodes(columns, rule)
     step_size, schedule, last = config.step_size, config.schedule, config.max_iterations
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
@@ -144,7 +145,7 @@ def run(config: RunConfig) -> TrialRecord:
                 break
             nodes, radius = nodes_at(sigma), sigma
         try:
-            estimate = columns @ _gh_derivatives(f, x, nodes)
+            estimate = _gh_gradient(f, x, nodes)
         except EvaluationError:
             status = "diverged"
             break

@@ -14,8 +14,13 @@ import numpy as np
 
 from .quadrature import GHRule
 
-_SQRT2 = np.sqrt(2.0)
-_SQRT_PI = np.sqrt(np.pi)
+try:  # what np.einsum(..., optimize=False) forwards to, without its Python wrapper
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
+_SQRT2, _SQRT_PI = math.sqrt(2.0), math.sqrt(math.pi)  # floats: no numpy scalar per radius
+_ZERO = np.zeros(())  # adds +0.0 in fewer steps than the Python float 0.0
 
 # The smallest radius an estimate is made at: below it estimates only amplify
 # rounding noise, and far below it the factor sqrt(2) / (sqrt(pi) sigma) overflows.
@@ -101,23 +106,23 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(directions: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
+def _gh_nodes(columns: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
     """The builder, one radius at a time, of what a Gauss-Hermite estimate
-    along each row xi of ``directions`` needs besides x and F: ``nodes_at(sigma)``
-    gives the node offsets ((sqrt(2) sigma) v_m) xi from x, as a (k * M, d)
-    array, direction-major; the coefficients w_m v_m; and the factor
-    sqrt(2) / (sqrt(pi) sigma). The coefficients and the shaped nodes and
-    directions depend on the rule and the directions alone, so they are built
-    here once, and each radius costs two array operations."""
-    k, d = directions.shape
+    along each column xi of ``columns`` (d x k) needs besides x and F:
+    ``nodes_at(sigma)`` gives the node offsets ((sqrt(2) sigma) v_m) xi from
+    x, as a (k * M, d) array, direction-major; the coefficients w_m v_m; the
+    factor sqrt(2) / (sqrt(pi) sigma); and the columns, with whether they are
+    the identity. All but the offsets and factor are built here once, so
+    each radius costs two array operations."""
+    d = len(columns)
+    identity = np.array_equal(columns, np.eye(d))
     nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
     # C-ordered directions give C-ordered offsets, which reshape without a copy
-    directions = np.ascontiguousarray(directions)[:, None, :]
+    directions = np.ascontiguousarray(columns.T)[:, None, :]
 
     def nodes_at(sigma: float) -> tuple:
         offsets = ((_SQRT2 * sigma) * nodes) * directions
-        return (offsets.reshape(k * rule.order, d), coefficients,
-                float(_SQRT2 / (_SQRT_PI * sigma)))
+        return offsets.reshape(-1, d), coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity
 
     return nodes_at
 
@@ -139,32 +144,37 @@ class DGSConfig:
         if not SIGMA_FLOOR <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and at least {SIGMA_FLOOR:g}, "
                              f"got {self.sigma}")
-        # rows of the transposed basis are the directions xi_i
-        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns.T, self.rule)(self.sigma))
+        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns, self.rule)(self.sigma))
 
 
-def _gh_derivatives(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
-    """Smoothed directional derivatives at x along each direction xi of
-    ``nodes`` (a radius's offsets, coefficients and factor from _gh_nodes):
+def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
+    """The DGS estimate at x from one evaluation of k * M points: the
+    smoothed directional derivatives along each direction xi of ``nodes`` (a
+    radius's offsets, coefficients, factor and columns from _gh_nodes),
     (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma v_m xi) *
-    sqrt(2) v_m, from one evaluation of k * M points. Raises EvaluationError
-    at the first point whose value is not finite, as Objective.eval_batch."""
-    offsets, coefficients, scale = nodes
+    sqrt(2) v_m, mapped back to standard coordinates by the product with the
+    columns. Raises EvaluationError at the first point whose value is not
+    finite, as Objective.eval_batch."""
+    offsets, coefficients, scale, columns, identity = nodes
     # x is added last, so each point has the bits of x + (sqrt(2) sigma v_m xi)
     points = x + offsets
     values = np.asarray(f.evaluate(points), dtype=float)
-    # einsum, not values @ coefficients: BLAS rounds a row of a
+    # einsum's loop, not values @ coefficients: BLAS rounds a row of a
     # matrix-vector product differently depending on how many rows it is
     # given, and a direction's derivative should not depend on the others.
-    derivatives = np.einsum("km,m->k", values.reshape(-1, len(coefficients)),
-                            coefficients) * scale
+    # np.vecdot, np.matvec and (V * c).sum(1) each round unlike einsum too.
+    derivatives = c_einsum("km,m->k", values.reshape(-1, len(coefficients)), coefficients)
+    derivatives *= scale
     # A value that is not finite makes its derivative, and so their sum, not
     # finite: a zero coefficient gives 0 * inf = NaN. Only then are the
     # values scanned; a sum that merely overflowed finds none. Python floats
-    # overflow to inf without numpy's warning.
-    if not math.isfinite(sum(derivatives.tolist())):
+    # overflow to inf without numpy's warning. The product with identity
+    # columns adds 0 * each other derivative to each: for finite ones that
+    # only turns -0.0 (an underflowed factor) into +0.0, as + 0.0 does.
+    finite = math.isfinite(sum(derivatives.tolist()))
+    if not finite:
         _raise_at_nonfinite(points, values)
-    return derivatives
+    return derivatives + _ZERO if finite and identity else columns @ derivatives
 
 
 def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
@@ -179,4 +189,4 @@ def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
     columns = config.basis.columns
     if x.shape != columns.shape[1:]:
         raise ValueError(f"point has shape {x.shape}, expected ({len(columns)},)")
-    return columns @ _gh_derivatives(f, x, config._nodes)
+    return _gh_gradient(f, x, config._nodes)

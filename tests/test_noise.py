@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -63,6 +64,29 @@ class TestPeriodicNoise:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             PeriodicNoise(alpha=0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(alpha=math.inf), dict(alpha=math.nan), dict(alpha=1.0, amplitude=math.inf),
+        dict(alpha=1.0, amplitude=-math.inf), dict(alpha=1.0, amplitude=math.nan)])
+    def test_infinite_or_nan_parameters_rejected(self, kwargs):
+        # an infinite amplitude was accepted and gave NaN at every point, with
+        # a RuntimeWarning
+        with pytest.raises(ValueError, match="must be .*finite"):
+            PeriodicNoise(**kwargs)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 2.5, -1.0, 0.0])
+    @pytest.mark.parametrize("shape", [(5,), (40, 5)])
+    def test_values_have_the_plain_formula_bits(self, amplitude, shape):
+        # at amplitude 1.0 the product with the amplitude is skipped, as
+        # 1.0 * v is v, signed zeros and NaN included
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, shape)
+        x.flat[:2] = [-0.0, 0.0]
+        if x.ndim == 2:
+            x[1, 0] = np.nan
+        noise = PeriodicNoise(alpha=1.3, amplitude=amplitude)
+        got = noise.evaluate(x)
+        want = amplitude * np.add.reduce(np.sin(2.0 * np.pi * 1.3 * x), -1)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestBandlimitedNoise:

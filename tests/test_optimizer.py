@@ -12,6 +12,7 @@ from dgs_opt import (
     DGSConfig,
     EvaluationError,
     Objective,
+    PeriodicNoise,
     RunConfig,
     SigmaSchedule,
     build_gh_rule,
@@ -79,6 +80,13 @@ class TestSchedules:
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SigmaSchedule(**kwargs)
+
+    @pytest.mark.parametrize("sigma0", [math.inf, math.nan])
+    def test_infinite_or_nan_radius_rejected(self, sigma0):
+        # an infinite radius was accepted, and run then warned and reported
+        # diverged after 0 steps, which blames the objective
+        with pytest.raises(ValueError, match="sigma0 must be finite"):
+            SigmaSchedule(sigma0)
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +204,13 @@ class TestRun:
         x0 = np.array([1.0, 2.0, 3.0])
         rec = run(make_run_config(quadratic_objective(3), initial_point=x0))
         np.testing.assert_array_equal(rec.iterates[0], x0)
+
+    @pytest.mark.parametrize("step_size", [math.inf, math.nan, 0.0, -0.1])
+    def test_step_size_not_positive_and_finite_rejected(self, step_size):
+        # an infinite step size was accepted, and run then reported diverged
+        # after 1 step
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            make_run_config(quadratic_objective(3), step_size=step_size)
 
     def test_initial_point_shape_validated(self):
         with pytest.raises(ValueError):
@@ -344,15 +359,25 @@ def _reference_steps(cfg):
         iterates.append(x)
 
 
-@pytest.mark.parametrize("basis", ["identity", "random"])
+_NOISES = {
+    "bandlimited": lambda: sample_bandlimited(5, 1.0, 20, seed=8),
+    # amplitude 1.0 skips the product with the amplitude, 2.5 makes it
+    "periodic-amplitude-1": lambda: PeriodicNoise(1.0),
+    "periodic-amplitude-2.5": lambda: PeriodicNoise(1.0, amplitude=2.5),
+}
+_BASIS_NOISE = [(basis, noise) for noise in _NOISES for basis in ("identity", "random")]
+
+
+@pytest.mark.parametrize("basis,noise", _BASIS_NOISE, ids=[
+    basis if noise == "bandlimited" else f"{basis}-{noise}" for basis, noise in _BASIS_NOISE])
 @pytest.mark.parametrize("schedule", [
     SigmaSchedule(0.3),
     SigmaSchedule(0.3, switch_iteration=15, contraction=0.9),
     theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5),
 ], ids=["constant", "two-phase", "theorem3"])
-def test_run_reuses_node_offsets_per_radius_without_moving_a_bit(schedule, basis):
+def test_run_reuses_node_offsets_per_radius_without_moving_a_bit(schedule, basis, noise):
     # run builds a radius's node offsets only when the radius changes
-    f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=8))
+    f = power_sum_sqrt_objective(5, noise=_NOISES[noise]())
     cfg = make_run_config(
         f, schedule=schedule, rule=build_gh_rule(7), max_iterations=40,
         basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
@@ -362,6 +387,41 @@ def test_run_reuses_node_offsets_per_radius_without_moving_a_bit(schedule, basis
     assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
     assert (rec.iterations_run, rec.status) == (steps, status)
     _assert_per_step_columns(cfg, rec)
+
+
+_SIGNED_ZERO_CASES = {
+    # M = 1: the one node has coefficient 0, and F < 0 near the start, so
+    # each term F * 0 is -0.0 (einsum sums them from +0.0)
+    "order-1-negative-objective": (
+        lambda x: np.add.reduce(np.asarray(x) ** 2, -1) - 1.0, 1, 0.5),
+    # F = -1e-30 at each + node and 0 at each - node: each derivative is a
+    # negative sum times a factor of 8e-301, which underflows to -0.0
+    "underflowed-derivatives": (
+        lambda x: np.where(np.add.reduce(np.asarray(x), -1) > 0, -1e-30, 0.0), 2, 1e300),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIGNED_ZERO_CASES))
+def test_zero_estimate_from_a_minus_zero_start_keeps_the_basis_product_bits(case):
+    # the product with the identity basis gives +0.0 for a zero derivative,
+    # and x - step * (+0.0) keeps x's -0.0; a -0.0 estimate would step each
+    # -0.0 coordinate to +0.0
+    evaluate, order, sigma0 = _SIGNED_ZERO_CASES[case]
+    d = 3
+    cfg = make_run_config(Objective(dimension=d, evaluate=evaluate), sigma0=sigma0,
+                          rule=build_gh_rule(order), initial_point=np.full(d, -0.0),
+                          max_iterations=5)
+    if case == "underflowed-derivatives":
+        config = DGSConfig(sigma0, cfg.rule, cfg.basis)
+        values = evaluate(cfg.initial_point + config._nodes[0]).reshape(d, order)
+        derivatives = np.einsum("km,m->k", values, config._nodes[1]) * config._nodes[2]
+        assert np.signbit(derivatives).all() and not derivatives.any()
+    rec = run(cfg)
+    assert (rec.iterations_run, rec.status) == (5, "ok")
+    assert rec.iterates.tobytes() == np.full((6, d), -0.0).tobytes()
+    iterates, sigmas, steps, status = _reference_steps(cfg)
+    assert rec.iterates.tobytes() == np.array(iterates).tobytes()
+    assert (steps, status) == (5, "ok")
 
 
 _THEOREM3 = theorem3_schedule(beta=1e-4, L=2.0, tau=2.0, r0_tilde=1.0, dimension=5)

@@ -18,7 +18,7 @@ from dgs_opt import (
     quadratic_objective,
     random_orthonormal_basis,
 )
-from dgs_opt.smoothing import SIGMA_FLOOR, _gh_derivatives, _gh_nodes
+from dgs_opt.smoothing import SIGMA_FLOOR, _gh_gradient, _gh_nodes
 
 
 def counting_objective(d, fn):
@@ -124,8 +124,8 @@ class TestDGSGradient:
         got = dgs_gradient(f, x, DGSConfig(sigma=0.4, rule=rule, basis=identity_basis(d)))
         # each direction's derivative on its own, from its own one-row node set
         want = []
-        for e in np.eye(d):
-            want.append(_gh_derivatives(f, x, _gh_nodes(e[None, :], rule)(0.4))[0])
+        for i, e in enumerate(np.eye(d)):
+            want.append(_gh_gradient(f, x, _gh_nodes(e[:, None], rule)(0.4))[i])
         np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
@@ -186,17 +186,42 @@ def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed
     rule = build_gh_rule(order)
     basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
     directions = basis.columns.T
-    nodes_at = _gh_nodes(directions, rule)
+    nodes_at = _gh_nodes(basis.columns, rule)
     built = [nodes_at(sigma) for sigma in sigmas]
     for sigma, nodes in zip(sigmas, built):
         config = DGSConfig(sigma, rule, basis)
         assert (config.sigma, config.rule, config.basis) == (sigma, rule, basis)
         want = (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
                 rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))
-        for offsets, coefficients, scale in (nodes, config._nodes):
+        for offsets, coefficients, scale, columns, identity in (nodes, config._nodes):
             assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
             assert coefficients.tobytes() == want[1].tobytes()
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
+            assert columns is basis.columns
+            assert identity == np.array_equal(columns, np.eye(d))
+
+
+# -1e-30 times the factor at sigma = 1e300 underflows to -0.0; 1.7e308 overflows the sums
+_VALUES = st.sampled_from([-1.0, 2.5, -0.0, 0.0, -1e-30, 1e-30, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(order=st.integers(1, 6), d=st.integers(1, 6), sigma=st.sampled_from([0.7, 1e300]),
+       data=st.data())
+def test_identity_basis_estimate_has_the_basis_product_bits(order, d, sigma, data):
+    # along the identity basis dgs_gradient makes no product with the basis,
+    # and still returns the bits of np.eye(d) @ derivatives: a -0.0
+    # derivative becomes +0.0, and an overflowed one makes the others NaN
+    values = np.array(data.draw(st.lists(_VALUES, min_size=order * d, max_size=order * d)))
+    f = Objective(dimension=d, evaluate=lambda points: values.copy())
+    rule = build_gh_rule(order)
+    scale = np.sqrt(2.0) / (np.sqrt(np.pi) * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivatives = np.einsum("km,m->k", values.reshape(d, order),
+                                rule.weights * rule.nodes) * scale
+        got = dgs_gradient(f, np.zeros(d), DGSConfig(sigma, rule, identity_basis(d)))
+        want = np.eye(d) @ derivatives
+    assert got.tobytes() == want.tobytes()
 
 
 _INJECTED = st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300, 1e308])
