@@ -7,6 +7,8 @@ point had every trial diverge, 3 results could not be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -121,6 +123,14 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """The value of a float option, which must be a finite number."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are ConfigErrors, so a bad argument
     exits 1 like any bad input; subparsers are built from the same class."""
@@ -157,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print theory bounds for a noise model")
     p_bounds.add_argument("--model", required=True,
                           choices=["periodic", "bandlimited", "diminishing"])
-    p_bounds.add_argument("--sigma", type=float, default=0.5)
+    p_bounds.add_argument("--sigma", type=_finite, default=0.5)
     p_bounds.add_argument("--d", type=int, default=5)
-    p_bounds.add_argument("--L", type=float, default=2.0)
-    p_bounds.add_argument("--tau", type=float, default=2.0)
-    p_bounds.add_argument("--alpha", type=float, default=1.0,
+    p_bounds.add_argument("--L", type=_finite, default=2.0)
+    p_bounds.add_argument("--tau", type=_finite, default=2.0)
+    p_bounds.add_argument("--alpha", type=_finite, default=1.0,
                           help="frequency (periodic) or minimum frequency (bandlimited)")
-    p_bounds.add_argument("--gamma", type=float, default=1.0,
+    p_bounds.add_argument("--gamma", type=_finite, default=1.0,
                           help="derivative/spectrum bound of the noise")
     p_bounds.add_argument("--n", type=int, default=1,
                           help="derivative order the gamma bound refers to (periodic)")
-    p_bounds.add_argument("--beta", type=float, default=0.001,
+    p_bounds.add_argument("--beta", type=_finite, default=0.001,
                           help="envelope curvature (diminishing)")
-    p_bounds.add_argument("--dist", type=float, default=1.0,
+    p_bounds.add_argument("--dist", type=_finite, default=1.0,
                           help="distance to the optimum (diminishing)")
     p_bounds.add_argument("--order", type=int, default=5, help="quadrature order")
     p_bounds.set_defaults(func=_cmd_bounds)

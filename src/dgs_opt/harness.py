@@ -15,14 +15,14 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import noise as noise_mod
 from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, theorem3_schedule
 from .quadrature import build_gh_rule
-from .smoothing import identity_basis, random_orthonormal_basis
+from .smoothing import Objective, identity_basis, random_orthonormal_basis
 
 EXPERIMENT_IDS = ("periodic-sweep", "bandlimited-sweep", "diminishing-two-phase", "custom")
 
@@ -127,29 +127,59 @@ def _sigma_grid(value) -> tuple[float, ...]:
 
 def _section(name: str, kinds: dict):
     """Converter of the config section ``name``: a JSON object whose
-    ``kind`` picks the table of its other fields. Gives (kind, fields)."""
+    ``kind`` picks its row of ``kinds``, with its other fields. Gives (kind, fields)."""
     def convert(section):
         kind = section.get("kind") if isinstance(section, dict) else None
-        table = kinds[kind] if kind in tuple(kinds) else {}
+        table = kinds[kind].fields if kind in tuple(kinds) else {}
         fields = _fields(section, {"kind": (_one_of(kinds), _REQUIRED), **table}, name)
         return fields.pop("kind"), fields
     return convert
 
 
-# Per section kind: field -> (converter, default or _REQUIRED).
+class _Kind(NamedTuple):  # one kind of a config section
+    fields: dict  # field -> (converter, default or _REQUIRED)
+    build: Callable  # what a sweep builds from the fields
+    frequency: Optional[str] = None  # a noise's field whose inverse is the wavelength
+
+
+def _bandlimited(config: ExperimentConfig) -> noise_mod.BandlimitedNoise:
+    seed = mix_seed(config.master_seed, _NOISE_SEED_TAG)
+    return noise_mod.sample_bandlimited(config.dimension, seed=seed, **config.noise_params)
+
+
+def _sigma_schedule(config: ExperimentConfig, sigma0: float) -> SigmaSchedule:
+    return SigmaSchedule(sigma0, **config.schedule_params)
+
+
+def _theorem3(config: ExperimentConfig, sigma0: float) -> SigmaSchedule:
+    return theorem3_schedule(dimension=config.dimension, **config.schedule_params)
+
+
 _OBJECTIVE_FIELDS = {"dimension": (_number(int, positive=True), 5), "box": (_box, _REQUIRED)}
-_OBJECTIVE_KINDS = {"power-sum-sqrt": _OBJECTIVE_FIELDS, "quadratic": _OBJECTIVE_FIELDS}
-_NOISE_KINDS = {
-    "periodic": {"alpha": (_FLOAT, _REQUIRED), "amplitude": (_FLOAT, 1.0)},
-    "bandlimited": {"alpha0": (_FLOAT, _REQUIRED), "num_components": (_INT, 20)},
-    "diminishing": {"beta": (_FLOAT, 1.0), "carrier_frequency": (_FLOAT, 1.0)},
-    "none": {},
+_OBJECTIVE_KINDS = {  # build(dimension, noise)
+    "power-sum-sqrt": _Kind(_OBJECTIVE_FIELDS, noise_mod.power_sum_sqrt_objective),
+    "quadratic": _Kind(_OBJECTIVE_FIELDS, noise_mod.quadratic_objective),
 }
-_SCHEDULE_KINDS = {
-    "constant": {},
-    "two-phase-decay": {"switch_iteration": (_INT, 5000), "contraction": (_FLOAT, 0.999)},
-    "theorem3": {key: (_FLOAT, _REQUIRED) for key in ("beta", "L", "tau", "r0_tilde")},
+_NOISE_KINDS = {  # build(config)
+    "periodic": _Kind({"alpha": (_FLOAT, _REQUIRED), "amplitude": (_FLOAT, 1.0)},
+                      lambda config: noise_mod.PeriodicNoise(**config.noise_params), "alpha"),
+    "bandlimited": _Kind({"alpha0": (_FLOAT, _REQUIRED), "num_components": (_INT, 20)},
+                         _bandlimited, "alpha0"),
+    "diminishing": _Kind({"beta": (_FLOAT, 1.0), "carrier_frequency": (_FLOAT, 1.0)},
+                         lambda config: noise_mod.DiminishingNoise(**config.noise_params),
+                         "carrier_frequency"),
+    "none": _Kind({}, lambda config: None),
 }
+_SCHEDULE_KINDS = {  # build(config, sigma0)
+    "constant": _Kind({}, _sigma_schedule),
+    "two-phase-decay": _Kind({"switch_iteration": (_INT, 5000), "contraction": (_FLOAT, 0.999)},
+                             _sigma_schedule),
+    "theorem3": _Kind({key: (_FLOAT, _REQUIRED) for key in ("beta", "L", "tau", "r0_tilde")},
+                      _theorem3),
+}
+# kind -> build(dimension, trial seed); a basis has no fields, and the first is the default
+_BASES = {"identity": lambda d, seed: identity_basis(d),
+          "random": lambda d, seed: random_orthonormal_basis(d, mix_seed(seed, _BASIS_SEED_TAG))}
 _TOP_FIELDS = {
     "experiment": (_one_of(EXPERIMENT_IDS), _REQUIRED),
     "objective": (_section("objective", _OBJECTIVE_KINDS), _REQUIRED),
@@ -160,7 +190,7 @@ _TOP_FIELDS = {
     "max_iterations": (_number(int, positive=True), _REQUIRED),
     "schedule": (_section("schedule", _SCHEDULE_KINDS), _REQUIRED),
     "quadrature_order": (lambda v: build_gh_rule(_INT(v)).order, 5),
-    "basis": (_one_of(("identity", "random")), "identity"),
+    "basis": (_one_of(_BASES), next(iter(_BASES))),
     "master_seed": (_INT, _REQUIRED),
     "output_dir": (_json(str), None),
 }
@@ -188,13 +218,8 @@ class ExperimentConfig:
     @property
     def wavelength(self) -> float:
         """Base length scale the sigma multipliers refer to."""
-        if self.noise_kind == "periodic":
-            return 1.0 / self.noise_params["alpha"]
-        if self.noise_kind == "bandlimited":
-            return 1.0 / self.noise_params["alpha0"]
-        if self.noise_kind == "diminishing":
-            return 1.0 / self.noise_params["carrier_frequency"]
-        return 1.0
+        frequency = _NOISE_KINDS[self.noise_kind].frequency
+        return 1.0 / self.noise_params[frequency] if frequency else 1.0
 
     @property
     def sigma_values(self) -> tuple[float, ...]:
@@ -213,8 +238,8 @@ def parse_config(doc: dict, where: str = "config") -> ExperimentConfig:
     fields["schedule_kind"], fields["schedule_params"] = fields.pop("schedule")
     config = ExperimentConfig(**fields, **objective)
     try:
-        build_noise(config)
-        _build_schedule(config, config.sigma_values[0])
+        _NOISE_KINDS[config.noise_kind].build(config)
+        _SCHEDULE_KINDS[config.schedule_kind].build(config, config.sigma_values[0])
     except (ArithmeticError, ValueError) as e:  # a theorem3 rate can overflow
         raise ConfigError(f"bad noise or schedule in {where}: {e}") from e
     if not all(0 < s < math.inf for s in config.sigma_values):
@@ -263,50 +288,24 @@ _NOISE_SEED_TAG = 0x6E6F6973  # distinguishes the shared-noise stream
 _BASIS_SEED_TAG = 0xB4515
 
 
-def build_noise(config: ExperimentConfig):
-    if config.noise_kind == "periodic":
-        return noise_mod.PeriodicNoise(**config.noise_params)
-    if config.noise_kind == "bandlimited":
-        seed = mix_seed(config.master_seed, _NOISE_SEED_TAG)
-        return noise_mod.sample_bandlimited(config.dimension, seed=seed, **config.noise_params)
-    if config.noise_kind == "diminishing":
-        return noise_mod.DiminishingNoise(**config.noise_params)
-    return None
-
-
-def build_objective(config: ExperimentConfig):
-    noise = build_noise(config)
-    if config.objective_kind == "power-sum-sqrt":
-        return noise_mod.power_sum_sqrt_objective(config.dimension, noise)
-    return noise_mod.quadratic_objective(config.dimension, noise)
-
-
-def _build_schedule(config: ExperimentConfig, sigma0: float) -> SigmaSchedule:
-    if config.schedule_kind == "theorem3":
-        return theorem3_schedule(dimension=config.dimension, **config.schedule_params)
-    return SigmaSchedule(sigma0, **config.schedule_params)
+def build_objective(config: ExperimentConfig) -> Objective:
+    noise = _NOISE_KINDS[config.noise_kind].build(config)
+    return _OBJECTIVE_KINDS[config.objective_kind].build(config.dimension, noise)
 
 
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialRecord:
     """One seeded run at one sigma grid point. Safe to call from workers."""
     seed = mix_seed(config.master_seed, grid_index, trial_index)
-    objective = build_objective(config)
-    if config.basis == "identity":
-        basis = identity_basis(config.dimension)
-    else:
-        basis = random_orthonormal_basis(config.dimension, mix_seed(seed, _BASIS_SEED_TAG))
     sigma0 = config.sigma_values[grid_index]
-    lo, hi = config.box
-    run_config = RunConfig(
-        objective=objective,
+    return run(RunConfig(
+        objective=build_objective(config),
         rule=build_gh_rule(config.quadrature_order),
-        basis=basis,
+        basis=_BASES[config.basis](config.dimension, seed),
         step_size=config.step_size,
         max_iterations=config.max_iterations,
-        schedule=_build_schedule(config, sigma0),
-        initial_point=np.random.default_rng(seed).uniform(lo, hi, size=config.dimension),
-    )
-    return run(run_config)
+        schedule=_SCHEDULE_KINDS[config.schedule_kind].build(config, sigma0),
+        initial_point=np.random.default_rng(seed).uniform(*config.box, size=config.dimension),
+    ))
 
 
 @dataclass(eq=False)

@@ -58,8 +58,10 @@ class BandlimitedNoise:
         freqs = np.asarray(self.frequencies, dtype=float)
         if freqs.ndim != 2:
             raise ValueError("frequencies must be (d, J)")
-        if np.any(freqs < self.alpha0):
-            raise ValueError("all frequencies must be >= alpha0")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
+        if not np.all((freqs >= self.alpha0) & (freqs < np.inf)):  # False at NaN
+            raise ValueError("all frequencies must be finite and >= alpha0")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -118,12 +120,11 @@ class DiminishingNoise:
     carrier_frequency: float = 1.0
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.carrier_frequency > 0:
-            raise ValueError(
-                f"carrier_frequency must be positive, got {self.carrier_frequency}"
-            )
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not 0 < self.carrier_frequency < np.inf:
+            raise ValueError(f"carrier_frequency must be positive and finite, "
+                             f"got {self.carrier_frequency}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)

@@ -15,8 +15,9 @@ class ConvexityConstants:
     tau: float
 
     def __post_init__(self):
-        if not (self.L > 0 and self.tau > 0):
-            raise ValueError("L and tau must be positive")
+        if not (0 < self.L < math.inf and 0 < self.tau < math.inf):
+            raise ValueError(f"L and tau must be positive and finite, "
+                             f"got {self.L} and {self.tau}")
         if self.tau > self.L:
             raise ValueError(f"tau ({self.tau}) cannot exceed L ({self.L})")
 

@@ -39,7 +39,7 @@ from dgs_opt import (
     sample_bandlimited,
 )
 from dgs_opt import harness, plotting
-from dgs_opt.cli import main as cli_main
+from dgs_opt.cli import build_parser, main as cli_main
 from dgs_opt.harness import (SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep,
                              write_trace_csv)
 
@@ -127,6 +127,54 @@ class TestConfigParsing:
         example = readme.split("A config pins everything")[1].split("```json\n")[1]
         cfg = parse_config(json.loads(example.split("```")[0]))
         assert cfg.experiment == "periodic-sweep"
+
+
+# One section of each kind in each of harness's kind tables, with only the
+# required fields, but for a noise's frequency, which sets its wavelength.
+_KIND_SECTIONS = {
+    ("objective", "power-sum-sqrt"): {"box": [-1, 1]},
+    ("objective", "quadratic"): {"box": [-1, 1]},
+    ("noise", "periodic"): {"alpha": 2.0},
+    ("noise", "bandlimited"): {"alpha0": 4.0},
+    ("noise", "diminishing"): {"carrier_frequency": 0.5},
+    ("noise", "none"): {},
+    ("schedule", "constant"): {},
+    ("schedule", "two-phase-decay"): {},
+    ("schedule", "theorem3"): {"beta": 1e-4, "L": 2.0, "tau": 2.0, "r0_tilde": 1.0},
+    ("basis", "identity"): None,
+    ("basis", "random"): None,
+}
+_KIND_TABLES = {"objective": harness._OBJECTIVE_KINDS, "noise": harness._NOISE_KINDS,
+                "schedule": harness._SCHEDULE_KINDS, "basis": harness._BASES}
+_WAVELENGTHS = {"periodic": 1 / 2.0, "bandlimited": 1 / 4.0, "diminishing": 1 / 0.5, "none": 1.0}
+
+
+def _kind_doc(section, kind):
+    fields = _KIND_SECTIONS[section, kind]
+    return base_doc(**{section: kind if fields is None else {"kind": kind, **fields}})
+
+
+class TestConfigKinds:
+    def test_every_kind_of_every_table_is_tested(self):
+        assert set(_KIND_SECTIONS) == {
+            (section, kind) for section, table in _KIND_TABLES.items() for kind in table}
+
+    @pytest.mark.parametrize("section,kind", list(_KIND_SECTIONS))
+    def test_every_kind_builds_from_a_minimal_config(self, section, kind):
+        config = parse_config(_kind_doc(section, kind))
+        assert getattr(config, section if section == "basis" else f"{section}_kind") == kind
+        record = run_trial(config, 1, 0)
+        assert record.status == "ok" and len(record.iterates) == config.max_iterations + 1
+        if section == "noise":
+            assert config.wavelength == _WAVELENGTHS[kind]
+            assert config.sigma_values == (0.5 * _WAVELENGTHS[kind], _WAVELENGTHS[kind])
+
+    @pytest.mark.parametrize("section", list(_KIND_TABLES))
+    def test_the_kinds_parsed_are_the_kinds_of_the_table(self, section):
+        doc = base_doc(**{section: "cubic" if section == "basis" else {"kind": "cubic"}})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"must be one of {'/'.join(_KIND_TABLES[section])}, got 'cubic'")):
+            parse_config(doc)
 
 
 # Valid configs that between them carry every section field of every kind.
@@ -940,6 +988,28 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert captured.out == ""
+
+    # every float option of `dgs-opt bounds`, with a model that reads it
+    _BOUNDS_FLOATS = {"--sigma": "periodic", "--L": "periodic", "--tau": "periodic",
+                      "--alpha": "periodic", "--gamma": "bandlimited", "--beta": "diminishing",
+                      "--dist": "diminishing"}
+
+    def test_bounds_float_options_are_the_ones_tested(self):
+        args = build_parser().parse_args(["bounds", "--model", "periodic"])
+        assert {f"--{name}" for name, value in vars(args).items()
+                if isinstance(value, float)} == set(self._BOUNDS_FLOATS)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("option", list(_BOUNDS_FLOATS))
+    def test_bounds_non_finite_value_is_one_error_line_naming_it(self, option, value, capsys):
+        # `--model periodic --alpha inf` printed delta_sigma = 255 and
+        # recommended_sigma = nan, and exited 0
+        model = self._BOUNDS_FLOATS[option]
+        assert cli_main(["bounds", "--model", model, f"{option}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: dgs-opt bounds: argument {option}: must be a finite number, got {value!r}"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("args", [

@@ -119,6 +119,17 @@ class TestBandlimitedNoise:
         with pytest.raises(ValueError):
             BandlimitedNoise(alpha0=1.0, frequencies=freqs)
 
+    @pytest.mark.parametrize("alpha0,frequency,name", [
+        (math.nan, 2.0, "alpha0"), (math.inf, 2.0, "alpha0"), (-math.inf, 2.0, "alpha0"),
+        (1.0, math.inf, "frequencies"), (1.0, math.nan, "frequencies")])
+    def test_infinite_or_nan_parameters_rejected(self, alpha0, frequency, name):
+        # a NaN alpha0 was accepted, as frequencies < NaN is all False, and an
+        # infinite frequency gave NaN with "invalid value encountered in sin"
+        freqs = np.full((2, 3), 2.0)
+        freqs[1, 2] = frequency
+        with pytest.raises(ValueError, match=f"{name} must .*finite"):
+            BandlimitedNoise(alpha0=alpha0, frequencies=freqs)
+
 
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
@@ -211,6 +222,16 @@ class TestDiminishingNoise:
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             DiminishingNoise(beta=-1.0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(beta=math.inf), "beta"), (dict(beta=math.nan), "beta"),
+        (dict(carrier_frequency=math.inf), "carrier_frequency"),
+        (dict(carrier_frequency=math.nan), "carrier_frequency")])
+    def test_infinite_or_nan_parameters_rejected(self, kwargs, name):
+        # an infinite beta or carrier frequency was accepted and evaluated to
+        # NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            DiminishingNoise(**kwargs)
 
 
 class TestClosedFormSineDerivative:

@@ -28,6 +28,13 @@ class TestConstants:
         with pytest.raises(ValueError):
             ConvexityConstants(L=0.0, tau=0.0)
 
+    @pytest.mark.parametrize("L,tau", [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
+                                       (2.0, math.nan)])
+    def test_finite_required(self, L, tau):
+        # an infinite L was accepted, and so were L = tau = inf
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            ConvexityConstants(L=L, tau=tau)
+
 
 class TestNoiseGradientBounds:
     # frozen values from a 40-digit arithmetic oracle

@@ -129,3 +129,50 @@ def test_bench_record_rejects_output_without_its_lines():
         module.parse_run_output(json.dumps(_RESULT))
     with pytest.raises(ValueError, match="summary"):
         module.parse_pytest_log("no tests ran\n")
+
+
+def _bench(**workloads):
+    """A canned BENCH record: workload -> {metric: value} of its trace 0 run,
+    or None for a run that failed."""
+    return {"workloads": {
+        name: {"trace0": {"exit_code": 1, "stderr_tail": []} if metrics is None else
+               {"exit_code": 0, "result": {"metrics": {
+                   key: {"value": value, "unit": "s"} for key, value in metrics.items()}}}}
+        for name, metrics in workloads.items()}}
+
+
+def test_bench_record_compares_with_the_newest_earlier_record(tmp_path):
+    module = _bench_record()
+    for n in (9, 17, 19, 21):  # 9 sorts after 17 as text
+        (tmp_path / f"BENCH_{n}.json").write_text("{}")
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert module.newest_before(20, tmp_path) == tmp_path / "BENCH_19.json"
+    assert module.newest_before(18, tmp_path) == tmp_path / "BENCH_17.json"
+    assert module.newest_before(9, tmp_path) is None
+    metrics = [{"name": "wall_s", "unit": "s"}, {"name": "ok_frac", "unit": "ratio"}]
+    now = _bench(a={"wall_s": 0.3, "ok_frac": 1.0}, b={"wall_s": 2.0}, c=None)
+    earlier = _bench(a={"wall_s": 0.4, "ok_frac": 0.0}, b={"wall_s": 2.0, "ok_frac": 0.5})
+    assert module.compare(now, earlier, metrics) == [
+        "a                wall_s            0.4 -> 0.3 s (-25.0%)",
+        "a                ok_frac           0 -> 1 ratio (-)",
+        "b                wall_s            2 -> 2 s (+0.0%)",
+        "b                ok_frac           0.5 -> - ratio (-)",
+        "c                wall_s            - -> - s (-)",
+        "c                ok_frac           - -> - ratio (-)",
+    ]
+
+
+def test_bench_record_prints_the_comparison_after_writing(tmp_path, monkeypatch, capsys):
+    module = _bench_record()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "a"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s"}]}))
+    (tmp_path / "BENCH_19.json").write_text(json.dumps(_bench(a={"wall_s": 0.5})))
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "run_workload", lambda name, seconds, trace: {
+        "exit_code": 0, "result": {"correct": True, "metrics": {
+            "wall_s": {"value": 0.45, "unit": "s"}}}})
+    assert module.main(["20"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote BENCH_20.json", "end-to-end metrics, BENCH_19.json -> BENCH_20.json:",
+        "  a                wall_s            0.5 -> 0.45 s (-10.0%)"]

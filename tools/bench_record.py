@@ -17,8 +17,9 @@ the tree was measured on; ``dirty`` says whether tracked files differed
 from it, as they do when a record is made for the change that commits it.
 With ``--pytest-log`` it also keeps the summary line and the ``slowest 10
 durations`` block of a pytest log, such as ``test_output.txt``. The file is
-written to the repository root; each later record is compared with the
-newest one before it. Exits 1 if a run failed or was not correct.
+written to the repository root. It then prints each workload's end-to-end
+metrics next to those of the newest earlier ``BENCH_<m>.json`` (m < n), with
+the change in percent. Exits 1 if a run failed or was not correct.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ _DURATION = re.compile(r"^([\d.]+)s\s+(setup|call|teardown)\s+(\S+)$")
 # "=== 1 failed, 349 passed in 128.98s (0:02:08) ===", or without the rules under -q
 _SUMMARY = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*|no tests ran) in ([\d.]+)s\b")
 _COUNT = re.compile(r"(\d+) ([a-z]+)")
+_BENCH = re.compile(r"BENCH_(\d+)\.json")
 
 
 def parse_run_output(stdout: str) -> dict:
@@ -92,6 +94,36 @@ def tree_dirty() -> bool | None:
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
+def newest_before(number: int, root: Path) -> Path | None:
+    """The BENCH_<m>.json in ``root`` with the largest m below ``number``."""
+    found = [(int(m[1]), path) for path in root.glob("BENCH_*.json")
+             if (m := _BENCH.fullmatch(path.name)) and int(m[1]) < number]
+    return max(found)[1] if found else None
+
+
+def _end_to_end(record: dict, workload: str) -> dict:
+    """name -> value of one workload's end-to-end metrics, from its trace 0 run."""
+    run = record["workloads"].get(workload, {}).get("trace0", {})
+    return {name: metric["value"] for name, metric in
+            run.get("result", {}).get("metrics", {}).items()}
+
+
+def compare(record: dict, earlier: dict, metrics: list[dict]) -> list[str]:
+    """One line per workload of ``record`` and end-to-end metric: the value
+    in ``earlier``, the value in ``record`` and the change in percent, or
+    "-" where a run has no value."""
+    lines = []
+    for workload in record["workloads"]:
+        now, before = _end_to_end(record, workload), _end_to_end(earlier, workload)
+        for metric in metrics:
+            a, b = before.get(metric["name"]), now.get(metric["name"])
+            change = f"{(b - a) / abs(a):+.1%}" if a and b is not None else "-"
+            values = " -> ".join("-" if v is None else f"{v:.6g}" for v in (a, b))
+            lines.append(f"{workload:<16} {metric['name']:<17} {values} {metric['unit']} "
+                         f"({change})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="n of BENCH_<n>.json")
@@ -111,6 +143,11 @@ def main(argv=None) -> int:
     failed = [f"{w} {k}" for w, runs in record["workloads"].items() for k, r in runs.items()
               if r["exit_code"] or not r.get("result", {}).get("correct")]
     print(f"wrote {out.name}" + (f"; failed runs: {', '.join(failed)}" if failed else ""))
+    earlier = newest_before(args.number, ROOT)
+    if earlier is not None:
+        print(f"end-to-end metrics, {earlier.name} -> {out.name}:")
+        for line in compare(record, json.loads(earlier.read_text()), bench["end_to_end"]):
+            print(f"  {line}")
     return 1 if failed else 0
 
 
