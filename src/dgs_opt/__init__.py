@@ -27,7 +27,6 @@ from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, sigma_at, the
 from .plotting import emit_plot, render_plot
 from .quadrature import GHRule, build_gh_rule
 from .smoothing import (
-    DGSConfig,
     DirectionBasis,
     EvaluationError,
     Objective,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandlimitedNoise", "ConfigError", "ConvexityConstants",
-    "DGSConfig", "DiminishingNoise", "DirectionBasis", "EvaluationError",
+    "DiminishingNoise", "DirectionBasis", "EvaluationError",
     "ExperimentConfig", "GHRule", "Objective", "OutputError", "PeriodicNoise",
     "RunConfig", "SigmaSchedule", "SweepSummary", "TrialRecord",
     "bandlimited_noise_grad_bound", "build_gh_rule",

@@ -1,8 +1,9 @@
 """Command-line front-end: run sweeps, list presets, re-plot results, and
 print theory bounds.
 
-Exit codes: 0 success, 1 bad config or arguments, 2 at least one sigma grid
-point had every trial diverge, 3 results could not be written.
+Exit codes: 0 success, 1 bad config or arguments (a config too large to
+allocate included), 2 at least one sigma grid point had every trial diverge,
+3 results could not be written.
 """
 from __future__ import annotations
 
@@ -192,6 +193,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:  # numpy's message names the array, e.g. a huge basis
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as e:
         print(f"error: {e}", file=sys.stderr)

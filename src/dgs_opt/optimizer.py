@@ -117,11 +117,11 @@ def run(config: RunConfig) -> TrialRecord:
     an evaluation is not finite or an iterate blows up; the returned record
     always ends at the last finite iterate. The loop only steps: it reads
     each step's radius once, from sigma_at, and builds that radius's node
-    offsets and factor with _gh_nodes, with no DGSConfig, only when it
-    differs from the last step's. So a constant radius is built once per
-    trial and a decaying one once per step. Each estimate is _gh_gradient's,
-    as in dgs_gradient. The objective and cosine columns are computed after
-    the loop, from the stacked iterates.
+    offsets and factor with _gh_nodes only when it differs from the last
+    step's. So a constant radius is built once per trial and a decaying one
+    once per step. Each estimate is _gh_gradient's, as in dgs_gradient. The
+    objective and cosine columns are computed after the loop, from the
+    stacked iterates.
     """
     f, rule, columns = config.objective, config.rule, config.basis.columns
     d = f.dimension

@@ -127,26 +127,6 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
     return nodes_at
 
 
-@dataclass(frozen=True, eq=False)
-class DGSConfig:
-    """Smoothing radius, quadrature rule and direction basis for one estimate.
-
-    The node offsets, coefficients and factor depend on these alone, so a
-    config builds them once, with _gh_nodes, and every estimate made with it
-    reuses them. A radius below SIGMA_FLOOR, or infinite, is a ValueError.
-    """
-
-    sigma: float
-    rule: GHRule
-    basis: DirectionBasis
-
-    def __post_init__(self):
-        if not SIGMA_FLOOR <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and at least {SIGMA_FLOOR:g}, "
-                             f"got {self.sigma}")
-        object.__setattr__(self, "_nodes", _gh_nodes(self.basis.columns, self.rule)(self.sigma))
-
-
 def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     """The DGS estimate at x from one evaluation of k * M points: the
     smoothed directional derivatives along each direction xi of ``nodes`` (a
@@ -177,16 +157,20 @@ def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     return derivatives + _ZERO if finite and identity else columns @ derivatives
 
 
-def dgs_gradient(f: Objective, x: np.ndarray, config: DGSConfig) -> np.ndarray:
-    """DGS gradient estimate at x: the d directional GH derivatives along the
-    basis directions, mapped back to standard coordinates.
-
-    Uses exactly M * d objective evaluations; evaluation and reduction order
-    are fixed, so the result is bit-reproducible, and the same whether the
-    config is new or reused.
-    """
+def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
+                 basis: DirectionBasis) -> np.ndarray:
+    """DGS gradient estimate at x with radius sigma: the d directional GH
+    derivatives along the basis directions, mapped back to standard
+    coordinates, from exactly M * d evaluations in a fixed order, so it is
+    bit-reproducible. A radius below SIGMA_FLOOR or infinite, a point of
+    another shape, or an objective of another dimension is a ValueError."""
+    if not SIGMA_FLOOR <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and at least {SIGMA_FLOOR:g}, got {sigma}")
     x = np.asarray(x, dtype=float)
-    columns = config.basis.columns
+    columns = basis.columns
     if x.shape != columns.shape[1:]:
         raise ValueError(f"point has shape {x.shape}, expected ({len(columns)},)")
-    return _gh_gradient(f, x, config._nodes)
+    if f.dimension != len(columns):
+        raise ValueError(f"objective is {f.dimension}-dimensional, "
+                         f"basis and point are {len(columns)}-dimensional")
+    return _gh_gradient(f, x, _gh_nodes(columns, rule)(sigma))

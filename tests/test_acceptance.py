@@ -125,9 +125,7 @@ def test_criterion_2_estimator_exact_on_quadratics():
     for order in (2, 5):
         for sigma in (0.1, 1.0, 10.0):
             for basis in bases:
-                got = dg.dgs_gradient(
-                    f, x, dg.DGSConfig(sigma=sigma, rule=dg.build_gh_rule(order), basis=basis)
-                )
+                got = dg.dgs_gradient(f, x, sigma, dg.build_gh_rule(order), basis)
                 worst = max(worst, float(np.max(np.abs(got - 2.0 * x))))
     elapsed = time.time() - t0
     report(
@@ -166,8 +164,7 @@ def test_criterion_3_sine_attenuation_oracle():
                 # whose nodes land on zeros of the sine, meet 1e-10.
                 continue
             rule = dg.build_gh_rule(sine_resolving_order(alpha * sigma))
-            config = dg.DGSConfig(sigma, rule, dg.identity_basis(1))
-            got = dg.dgs_gradient(obj, np.zeros(1), config)[0]
+            got = dg.dgs_gradient(obj, np.zeros(1), sigma, rule, dg.identity_basis(1))[0]
             want = dg.closed_form_smoothed_sine_derivative(alpha, sigma, 0.0)
             err = abs(got - want)
             if err > 1e-10:
@@ -190,7 +187,7 @@ def test_criterion_4_bound_soundness():
 
     def measured(obj, x):
         return float(
-            np.linalg.norm(dg.dgs_gradient(obj, x, dg.DGSConfig(sigma=sigma, rule=rule, basis=basis)))
+            np.linalg.norm(dg.dgs_gradient(obj, x, sigma, rule, basis))
         )
 
     failures = []
@@ -351,10 +348,9 @@ def test_criterion_9_cosine_sweep(periodic_sweep):
     sigmas = np.array(config.sigma_values)
     mean_cos = []
     for sigma in sigmas:
-        cfg = dg.DGSConfig(sigma=sigma, rule=rule, basis=basis)
         cos = []
         for x in points:
-            est, grad = dg.dgs_gradient(f, x, cfg), f.true_gradient(x)
+            est, grad = dg.dgs_gradient(f, x, sigma, rule, basis), f.true_gradient(x)
             cos.append(est @ grad / (np.linalg.norm(est) * np.linalg.norm(grad)))
         mean_cos.append(np.mean(cos))
     mean_cos = np.array(mean_cos)

@@ -1,19 +1,24 @@
 """Every CSV and SVG byte that `dgs-opt run` and the three `dgs-opt plot`
-kinds write for six small sweeps, held against frozen sha256 digests.
+kinds write for six small sweeps, held against frozen copies of the CSVs
+under `data/golden/` and frozen sha256 digests of the SVGs.
 
 The sweeps cover a constant radius with and without diverging trials, a
 bandlimited draw at M = 40 on a random basis, a two-phase radius that
 switches from constant to decaying mid-run, one that stops at the sigma
-floor, and Theorem 3's radius. Each runs at `--jobs` 1 and 2.
+floor, and Theorem 3's radius. Each runs at `--jobs` 1 and 2. A CSV that
+differs is reported by the line and column of its first differing cell and
+the distance between the two values in ulps.
 
 numpy's float64 `sin` and `pow` may round differently on another CPU or
 numpy version, so the numpy version and the SIMD targets it runs on are
 frozen next to the digests; a mismatch on another platform names both.
-Run this file to rewrite the frozen digests; any rewrite is a change of
-output bytes and needs its cause stated.
+Run this file to rewrite the frozen CSVs and digests; any rewrite is a
+change of output bytes and needs its cause stated.
 """
 import hashlib
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as _umath
 
 GOLDEN_PATH = Path(__file__).with_name("data") / "golden_outputs.json"
+FROZEN_DIR = Path(__file__).with_name("data") / "golden"
 
 
 def _doc(**overrides):
@@ -85,10 +91,9 @@ def platform() -> dict:
     }
 
 
-def sweep_digests(work: Path, jobs: int) -> dict:
-    """sha256 of every file that `dgs-opt run` and each `dgs-opt plot`
-    kind write, per config, keyed "config/file"."""
-    digests = {}
+def write_sweeps(work: Path, jobs: int) -> None:
+    """Write, to work/<config>, every file that `dgs-opt run` and each
+    `dgs-opt plot` kind write for each config."""
     for name, doc in CONFIGS.items():
         config, out = work / f"{name}.json", work / name
         config.write_text(json.dumps(doc))
@@ -97,27 +102,100 @@ def sweep_digests(work: Path, jobs: int) -> dict:
             svg = out / f"{kind}.svg"
             assert cli_main(["plot", str(out / "summary.csv"), "--kind", kind,
                              "--out", str(svg)]) == 0
-        for path in sorted(out.iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+
+
+def outputs(root: Path, suffix: str) -> dict:
+    """The files under root/<config> with the suffix, keyed "config/file"."""
+    return {f"{name}/{path.name}": path for name in CONFIGS
+            for path in sorted((root / name).glob(f"*{suffix}"))}
+
+
+def svg_digests(root: Path) -> dict:
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in outputs(root, ".svg").items()}
+
+
+def _ordered(cell: str) -> int:
+    """A float's bit pattern on a line where neighbouring floats differ by 1."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", float(cell)))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _distance(got: str, want: str) -> str:
+    try:
+        if math.isnan(float(got)) or math.isnan(float(want)):
+            return "one is NaN"
+        return f"{abs(_ordered(got) - _ordered(want))} ulps apart"
+    except ValueError:  # a cell that is not a number
+        return "not numbers"
+
+
+def first_difference(got: str, want: str) -> str:
+    """Where two CSV texts first differ: the line and column of the first
+    differing cell, with its two values and their distance in ulps."""
+    header = want.split("\n", 1)[0].split(",")
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for number, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g == w:
+            continue
+        for column, (gc, wc) in enumerate(zip(g.rstrip("\n").split(","),
+                                              w.rstrip("\n").split(","))):
+            if gc != wc:
+                name = header[column] if column < len(header) else f"#{column + 1}"
+                return (f"line {number}, column {column + 1} ({name}): {gc} where {wc} "
+                        f"was frozen, {_distance(gc, wc)}")
+        return f"line {number}: {g!r} where {w!r} was frozen"
+    return f"{len(got_lines)} lines where {len(want_lines)} were frozen"
+
+
+def test_first_difference_names_the_cell_and_its_distance_in_ulps():
+    want = "trial,dist\n0,1.5\n0,0.10000000000000001\n"
+    got = "trial,dist\n0,1.5\n0,0.10000000000000003\n"
+    assert first_difference(got, want) == (
+        "line 3, column 2 (dist): 0.10000000000000003 where 0.10000000000000001 was frozen, "
+        "2 ulps apart")
+    assert first_difference("trial,dist\n0,-0\n", "trial,dist\n0,0\n").endswith(
+        "0 ulps apart")
+    assert first_difference("trial,dist\n0,nan\n", "trial,dist\n0,0.5\n").endswith(
+        "one is NaN")
+    assert first_difference("a\nx\n", "a\ny\n").endswith("not numbers")
+    assert first_difference("a,b\n1,2\n", "a,b\n1,2\n3,4\n") == (
+        "2 lines where 3 were frozen")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_outputs_match_the_frozen_digests(jobs, tmp_path):
+def test_outputs_match_the_frozen_files(jobs, tmp_path):
     frozen = json.loads(GOLDEN_PATH.read_text())
-    got = sweep_digests(tmp_path, jobs)
-    want = frozen["digests"]
-    differing = sorted(f for f in want.keys() | got.keys() if got.get(f) != want.get(f))
-    message = f"{len(differing)} of {len(want)} files differ: {', '.join(differing)}"
+    write_sweeps(tmp_path, jobs)
+    got, want = outputs(tmp_path, ".csv"), outputs(FROZEN_DIR, ".csv")
+    differing = []
+    for key in sorted(want.keys() | got.keys()):
+        if key not in got or key not in want:
+            differing.append(f"{key} {'not written' if key in want else 'not frozen'}")
+        elif got[key].read_bytes() != want[key].read_bytes():
+            where = first_difference(got[key].read_text(), want[key].read_text())
+            differing.append(f"{key} {where}")
+    digests, frozen_digests = svg_digests(tmp_path), frozen["digests"]
+    differing += [f"{key} has another sha256"
+                  for key in sorted(frozen_digests.keys() | digests.keys())
+                  if digests.get(key) != frozen_digests.get(key)]
+    message = (f"{len(differing)} of {len(want) + len(frozen_digests)} files differ: "
+               + "; ".join(differing))
     if platform() != frozen["platform"]:
         message += f"; frozen on {frozen['platform']}, run on {platform()}"
     assert not differing, message
 
 
 if __name__ == "__main__":
+    import shutil
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:
-        digests = sweep_digests(Path(work), jobs=1)
+        write_sweeps(Path(work), jobs=1)
+        shutil.rmtree(FROZEN_DIR, ignore_errors=True)
+        for key, path in outputs(Path(work), ".csv").items():
+            (FROZEN_DIR / key).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, FROZEN_DIR / key)
+        digests = svg_digests(Path(work))
     GOLDEN_PATH.write_text(json.dumps({"platform": platform(), "digests": digests},
                                       indent=1) + "\n")

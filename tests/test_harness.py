@@ -20,7 +20,6 @@ from conftest import plain_bandlimited
 from dgs_opt import (
     BandlimitedNoise,
     ConfigError,
-    DGSConfig,
     ExperimentConfig,
     OutputError,
     RunConfig,
@@ -243,7 +242,6 @@ _ARRAY_DATACLASSES = {
     "GHRule": lambda: build_gh_rule(5),
     "DirectionBasis": lambda: identity_basis(3),
     "BandlimitedNoise": lambda: sample_bandlimited(3, 1.0, 4, seed=0),
-    "DGSConfig": lambda: DGSConfig(1.0, build_gh_rule(5), identity_basis(3)),
     "TrialRecord": lambda: run_trial(parse_config(base_doc(max_iterations=3)), 0, 0),
     "PlotData": lambda: PlotData((1.0,), np.zeros(1), [np.zeros(2)], [np.zeros(2)]),
     "SweepSummary": lambda: run_experiment(parse_config(base_doc(trials=1, max_iterations=3))),
@@ -917,6 +915,20 @@ class TestCli:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("noise", [{"kind": "none"}, {"kind": "periodic", "alpha": 1.0}],
+                             ids=["none", "periodic"])
+    def test_dimension_too_large_to_allocate_is_one_error_line(self, noise, tmp_path, capsys):
+        # the identity basis of 10**7 dimensions is 728 TiB, which numpy
+        # refuses at once
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(
+            objective={"kind": "quadratic", "dimension": 10**7, "box": [-5, 5]}, noise=noise)))
+        assert cli_main(["run", str(cfg_path), "--jobs", "1", "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), captured.err
         assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import plain_bandlimited
 from dgs_opt import (
     BandlimitedNoise,
-    DGSConfig,
     DiminishingNoise,
     Objective,
     PeriodicNoise,
@@ -155,7 +154,7 @@ def test_bandlimited_dgs_node_sets_match_the_plain_formula(noise, order, log10_s
     batches = []
     capture = Objective(dimension=d, evaluate=lambda p: batches.append(p) or np.zeros(len(p)))
     x = np.random.default_rng(seed).uniform(-20.0, 20.0, d)
-    dgs_gradient(capture, x, DGSConfig(10.0**log10_sigma, build_gh_rule(order), basis))
+    dgs_gradient(capture, x, 10.0**log10_sigma, build_gh_rule(order), basis)
     (points,) = batches
     assert_same_bits(noise.evaluate(points), plain_bandlimited(noise, points))
 

@@ -9,7 +9,6 @@ import pytest
 import dgs_opt
 from dgs_opt import (
     ConvexityConstants,
-    DGSConfig,
     EvaluationError,
     Objective,
     PeriodicNoise,
@@ -28,6 +27,7 @@ from dgs_opt import (
     theorem3_schedule,
 )
 from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR
+from dgs_opt.smoothing import _gh_nodes
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
@@ -290,7 +290,7 @@ def _assert_per_step_columns(cfg, rec):
                                   [float(f.evaluate(x)) for x in rec.iterates])
     want = []
     for x, sigma in zip(rec.iterates[:-1], rec.sigmas):
-        e = dgs_gradient(f, x, DGSConfig(sigma, cfg.rule, cfg.basis))
+        e = dgs_gradient(f, x, sigma, cfg.rule, cfg.basis)
         g = f.true_gradient(x)
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN at a zero norm
             want.append(np.dot(e, g) / (np.linalg.norm(e) * np.linalg.norm(g)))
@@ -339,8 +339,8 @@ def test_evaluate_is_called_once_per_step_also_on_the_step_that_raises():
 
 
 def _reference_steps(cfg):
-    """run's step loop with a new DGSConfig every step: (iterates, sigmas,
-    steps taken, status)."""
+    """run's step loop with a dgs_gradient call every step: (iterates,
+    sigmas, steps taken, status)."""
     f = cfg.objective
     x = np.array(cfg.initial_point, dtype=float)
     iterates, sigmas = [x], []
@@ -350,7 +350,7 @@ def _reference_steps(cfg):
         if t == cfg.max_iterations or sigma < SIGMA_FLOOR:
             return iterates, sigmas, t, "ok"
         try:
-            estimate = dgs_gradient(f, x, DGSConfig(sigma, cfg.rule, cfg.basis))
+            estimate = dgs_gradient(f, x, sigma, cfg.rule, cfg.basis)
         except EvaluationError:
             return iterates, sigmas, t, "diverged"
         x = x - cfg.step_size * estimate
@@ -412,9 +412,9 @@ def test_zero_estimate_from_a_minus_zero_start_keeps_the_basis_product_bits(case
                           rule=build_gh_rule(order), initial_point=np.full(d, -0.0),
                           max_iterations=5)
     if case == "underflowed-derivatives":
-        config = DGSConfig(sigma0, cfg.rule, cfg.basis)
-        values = evaluate(cfg.initial_point + config._nodes[0]).reshape(d, order)
-        derivatives = np.einsum("km,m->k", values, config._nodes[1]) * config._nodes[2]
+        offsets, coefficients, scale = _gh_nodes(cfg.basis.columns, cfg.rule)(sigma0)[:3]
+        values = evaluate(cfg.initial_point + offsets).reshape(d, order)
+        derivatives = np.einsum("km,m->k", values, coefficients) * scale
         assert np.signbit(derivatives).all() and not derivatives.any()
     rec = run(cfg)
     assert (rec.iterations_run, rec.status) == (5, "ok")

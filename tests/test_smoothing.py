@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgs_opt import (
-    DGSConfig,
     DirectionBasis,
     EvaluationError,
     Objective,
@@ -13,7 +12,6 @@ from dgs_opt import (
     dgs_gradient,
     PeriodicNoise,
     identity_basis,
-    sample_bandlimited,
     power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
@@ -59,9 +57,8 @@ class TestBases:
     def test_list_of_rows_is_stored_as_an_array(self):
         basis = DirectionBasis([[1.0, 0.0], [0.0, 1.0]])
         assert basis.dimension == 2
-        config = DGSConfig(sigma=0.5, rule=build_gh_rule(3), basis=basis)
-        np.testing.assert_allclose(dgs_gradient(quadratic_objective(2), np.ones(2), config),
-                                   [2.0, 2.0], atol=1e-12)
+        got = dgs_gradient(quadratic_objective(2), np.ones(2), 0.5, build_gh_rule(3), basis)
+        np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-12)
 
     def test_caller_cannot_change_the_checked_columns(self):
         columns = np.eye(2)
@@ -78,18 +75,16 @@ class TestDirectionalDerivative:
             dimension=3,
             evaluate=lambda x: np.asarray(x, dtype=float) @ np.array([2.0, -1.0, 0.5]),
         )
-        config = DGSConfig(sigma=0.7, rule=build_gh_rule(2), basis=identity_basis(3))
-        np.testing.assert_allclose(dgs_gradient(f, np.zeros(3), config), [2.0, -1.0, 0.5],
-                                   atol=1e-12)
+        got = dgs_gradient(f, np.zeros(3), 0.7, build_gh_rule(2), identity_basis(3))
+        np.testing.assert_allclose(got, [2.0, -1.0, 0.5], atol=1e-12)
 
     def test_nonfinite_value_raises_with_point(self):
         f = Objective(
             dimension=1,
             evaluate=lambda x: np.where(np.asarray(x)[..., 0] > 1.0, np.inf, 0.0),
         )
-        config = DGSConfig(sigma=2.0, rule=build_gh_rule(5), basis=identity_basis(1))
         with pytest.raises(EvaluationError) as err:
-            dgs_gradient(f, np.zeros(1), config)
+            dgs_gradient(f, np.zeros(1), 2.0, build_gh_rule(5), identity_basis(1))
         assert err.value.point[0] > 1.0
 
 
@@ -98,7 +93,7 @@ class TestDGSGradient:
     def test_exact_on_quadratic_identity_basis(self, sigma):
         f = quadratic_objective(5)
         x = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-        got = dgs_gradient(f, x, DGSConfig(sigma=sigma, rule=build_gh_rule(3), basis=identity_basis(5)))
+        got = dgs_gradient(f, x, sigma, build_gh_rule(3), identity_basis(5))
         np.testing.assert_allclose(got, 2.0 * x, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -106,14 +101,12 @@ class TestDGSGradient:
         f = quadratic_objective(5)
         x = np.array([0.3, 1.7, -0.4, 2.2, -3.1])
         basis = random_orthonormal_basis(5, seed=seed)
-        got = dgs_gradient(f, x, DGSConfig(sigma=1.0, rule=build_gh_rule(4), basis=basis))
+        got = dgs_gradient(f, x, 1.0, build_gh_rule(4), basis)
         np.testing.assert_allclose(got, 2.0 * x, atol=1e-9)
 
     def test_uses_exactly_order_times_d_evaluations(self):
         f, counter = counting_objective(4, lambda x: (x**2).sum(axis=-1))
-        dgs_gradient(
-            f, np.zeros(4), DGSConfig(sigma=0.5, rule=build_gh_rule(6), basis=identity_basis(4))
-        )
+        dgs_gradient(f, np.zeros(4), 0.5, build_gh_rule(6), identity_basis(4))
         assert counter["n"] == 6 * 4
 
     @pytest.mark.parametrize("d, order", [(1, 5), (4, 7), (5, 5), (5, 40), (9, 64)])
@@ -121,7 +114,7 @@ class TestDGSGradient:
         f = power_sum_sqrt_objective(d, noise=PeriodicNoise(alpha=1.0))
         x = np.random.default_rng(d).uniform(-3.0, 3.0, d)
         rule = build_gh_rule(order)
-        got = dgs_gradient(f, x, DGSConfig(sigma=0.4, rule=rule, basis=identity_basis(d)))
+        got = dgs_gradient(f, x, 0.4, rule, identity_basis(d))
         # each direction's derivative on its own, from its own one-row node set
         want = []
         for i, e in enumerate(np.eye(d)):
@@ -130,44 +123,45 @@ class TestDGSGradient:
 
     def test_bit_reproducible(self):
         f = quadratic_objective(3)
-        cfg = DGSConfig(sigma=0.3, rule=build_gh_rule(5), basis=random_orthonormal_basis(3, 9))
+        rule, basis = build_gh_rule(5), random_orthonormal_basis(3, 9)
         x = np.array([0.1, -0.2, 0.7])
-        a = dgs_gradient(f, x, cfg)
-        b = dgs_gradient(f, x, cfg)
+        a = dgs_gradient(f, x, 0.3, rule, basis)
+        b = dgs_gradient(f, x, 0.3, rule, basis)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("basis", [identity_basis(5), random_orthonormal_basis(5, 4)],
-                             ids=["identity", "random"])
-    def test_reused_config_matches_a_fresh_one_per_call(self, basis):
-        # a config builds its node offsets once; reusing it changes no bit
-        f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=2))
-        rule = build_gh_rule(40)
-        reused = DGSConfig(sigma=0.3, rule=rule, basis=basis)
-        for x in np.random.default_rng(6).uniform(-20.0, 20.0, size=(20, 5)):
-            got = dgs_gradient(f, x, reused)
-            want = dgs_gradient(f, x, DGSConfig(sigma=0.3, rule=rule, basis=basis))
-            assert got.tobytes() == want.tobytes()
-
-    def test_wrong_point_shape_rejected(self):
+    @pytest.mark.parametrize("shape", [(4,), (2,), (), (1, 3), (3, 1)], ids=str)
+    def test_wrong_point_shape_rejected(self, shape):
         f = quadratic_objective(3)
-        cfg = DGSConfig(sigma=0.3, rule=build_gh_rule(5), basis=identity_basis(3))
-        with pytest.raises(ValueError):
-            dgs_gradient(f, np.zeros(4), cfg)
+        with pytest.raises(ValueError, match=r"point has shape .*, expected \(3,\)"):
+            dgs_gradient(f, np.zeros(shape), 0.3, build_gh_rule(5), identity_basis(3))
+
+    @pytest.mark.parametrize("objective", [quadratic_objective, power_sum_sqrt_objective])
+    @pytest.mark.parametrize("basis", [identity_basis(4), random_orthonormal_basis(4, 2)],
+                             ids=["identity", "random"])
+    def test_objective_of_another_dimension_rejected(self, objective, basis):
+        # a 3-dimensional quadratic would return a 4-vector, and the
+        # power-sum-sqrt objective a numpy broadcast error
+        with pytest.raises(ValueError, match="objective is 3-dimensional, "
+                                             "basis and point are 4-dimensional"):
+            dgs_gradient(objective(3), np.ones(4), 0.5, build_gh_rule(5), basis)
 
     @pytest.mark.parametrize("sigma", [1e-320, np.nextafter(SIGMA_FLOOR, 0.0), 0.0, -1.0, np.nan,
                                        np.inf])
     def test_radius_below_the_floor_or_infinite_rejected(self, sigma):
         # at 1e-320 the factor sqrt(2) / (sqrt(pi) sigma) overflows to inf,
-        # and every estimate made with the config would be NaN; at inf the
-        # middle node's offset is inf * 0
+        # and the estimate would be NaN; at inf the middle node's offset is
+        # inf * 0
+        f, counter = counting_objective(3, lambda x: (x**2).sum(axis=-1))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite and at least 1e-14"):
-                DGSConfig(sigma, build_gh_rule(5), identity_basis(3))
+                dgs_gradient(f, np.ones(3), sigma, build_gh_rule(5), identity_basis(3))
+        assert counter["n"] == 0
 
     def test_radius_at_the_floor_accepted(self):
-        config = DGSConfig(SIGMA_FLOOR, build_gh_rule(5), identity_basis(3))
-        assert np.all(np.isfinite(dgs_gradient(quadratic_objective(3), np.ones(3), config)))
+        got = dgs_gradient(quadratic_objective(3), np.ones(3), SIGMA_FLOOR, build_gh_rule(5),
+                           identity_basis(3))
+        assert np.all(np.isfinite(got))
 
 
 _RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
@@ -180,20 +174,20 @@ _RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
 def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed, sigmas):
     # one builder serves a trial's radii, repeats included, in two array
-    # operations each; every radius gets, from it and in a config, the node
-    # offsets, coefficients and factor of the plain single-radius expression,
-    # byte for byte, and a later radius leaves an earlier one's untouched
+    # operations each; every radius gets, from it and from the fresh builder
+    # dgs_gradient makes, the node offsets, coefficients and factor of the
+    # plain single-radius expression, byte for byte, and a later radius
+    # leaves an earlier one's untouched
     rule = build_gh_rule(order)
     basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
     directions = basis.columns.T
     nodes_at = _gh_nodes(basis.columns, rule)
     built = [nodes_at(sigma) for sigma in sigmas]
     for sigma, nodes in zip(sigmas, built):
-        config = DGSConfig(sigma, rule, basis)
-        assert (config.sigma, config.rule, config.basis) == (sigma, rule, basis)
+        fresh = _gh_nodes(basis.columns, rule)(sigma)
         want = (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
                 rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))
-        for offsets, coefficients, scale, columns, identity in (nodes, config._nodes):
+        for offsets, coefficients, scale, columns, identity in (nodes, fresh):
             assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
             assert coefficients.tobytes() == want[1].tobytes()
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
@@ -219,7 +213,7 @@ def test_identity_basis_estimate_has_the_basis_product_bits(order, d, sigma, dat
     with np.errstate(over="ignore", invalid="ignore"):
         derivatives = np.einsum("km,m->k", values.reshape(d, order),
                                 rule.weights * rule.nodes) * scale
-        got = dgs_gradient(f, np.zeros(d), DGSConfig(sigma, rule, identity_basis(d)))
+        got = dgs_gradient(f, np.zeros(d), sigma, rule, identity_basis(d))
         want = np.eye(d) @ derivatives
     assert got.tobytes() == want.tobytes()
 
@@ -240,7 +234,6 @@ def test_nonfinite_value_raises_where_eval_batch_does(order, d, basis_seed, data
     rule = build_gh_rule(order)
     basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
     sigma = 0.7
-    config = DGSConfig(sigma, rule, basis)
     x = np.linspace(-1.0, 2.0, d)
     n = order * d
     injected = data.draw(st.dictionaries(st.integers(0, n - 1), _INJECTED, max_size=3))
@@ -255,12 +248,12 @@ def test_nonfinite_value_raises_where_eval_batch_does(order, d, basis_seed, data
         return values
 
     f = Objective(dimension=d, evaluate=evaluate)
-    points = x + config._nodes[0]
+    points = x + _gh_nodes(basis.columns, rule)(sigma)[0]
     try:
         values = f.eval_batch(points)
     except EvaluationError as err:
         with pytest.raises(EvaluationError) as got:
-            dgs_gradient(f, x, config)
+            dgs_gradient(f, x, sigma, rule, basis)
         first = min(i for i, v in injected.items() if not np.isfinite(v))
         assert got.value.point.tobytes() == err.point.tobytes() == points[first].tobytes()
         return
@@ -268,7 +261,7 @@ def test_nonfinite_value_raises_where_eval_batch_does(order, d, basis_seed, data
     with np.errstate(over="ignore", invalid="ignore"):  # 1e308 overflows the sums
         want = basis.columns @ (np.einsum("km,m->k", values.reshape(d, order),
                                           rule.weights * rule.nodes) * scale)
-        got = dgs_gradient(f, x, config)
+        got = dgs_gradient(f, x, sigma, rule, basis)
     assert got.tobytes() == want.tobytes()
 
 
@@ -286,11 +279,11 @@ def test_evaluate_is_called_once_per_estimate_also_when_it_raises(bad):
         return values
 
     f = Objective(dimension=d, evaluate=evaluate)
-    config = DGSConfig(0.5, build_gh_rule(order), random_orthonormal_basis(d, 1))
+    rule, basis = build_gh_rule(order), random_orthonormal_basis(d, 1)
     if bad is None:
-        dgs_gradient(f, np.ones(d), config)
+        dgs_gradient(f, np.ones(d), 0.5, rule, basis)
     else:
         with pytest.raises(EvaluationError):
-            dgs_gradient(f, np.ones(d), config)
+            dgs_gradient(f, np.ones(d), 0.5, rule, basis)
     assert calls == [order * d]
 

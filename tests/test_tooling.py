@@ -131,12 +131,14 @@ def test_bench_record_rejects_output_without_its_lines():
         module.parse_pytest_log("no tests ran\n")
 
 
-def _bench(**workloads):
+def _bench(src_lines=None, **workloads):
     """A canned BENCH record: workload -> {metric: value} of its trace 0 run,
-    or None for a run that failed."""
+    or None for a run that failed; each run that did not fail has a meta
+    line with ``src_lines``, unless that is None."""
+    meta = {} if src_lines is None else {"meta": {**_META, "src_lines": src_lines}}
     return {"workloads": {
         name: {"trace0": {"exit_code": 1, "stderr_tail": []} if metrics is None else
-               {"exit_code": 0, "result": {"metrics": {
+               {"exit_code": 0, **meta, "result": {"metrics": {
                    key: {"value": value, "unit": "s"} for key, value in metrics.items()}}}}
         for name, metrics in workloads.items()}}
 
@@ -150,16 +152,20 @@ def test_bench_record_compares_with_the_newest_earlier_record(tmp_path):
     assert module.newest_before(18, tmp_path) == tmp_path / "BENCH_17.json"
     assert module.newest_before(9, tmp_path) is None
     metrics = [{"name": "wall_s", "unit": "s"}, {"name": "ok_frac", "unit": "ratio"}]
-    now = _bench(a={"wall_s": 0.3, "ok_frac": 1.0}, b={"wall_s": 2.0}, c=None)
-    earlier = _bench(a={"wall_s": 0.4, "ok_frac": 0.0}, b={"wall_s": 2.0, "ok_frac": 0.5})
+    # the first workload's run failed, so src_lines comes from the second
+    now = _bench(1869, c=None, a={"wall_s": 0.3, "ok_frac": 1.0}, b={"wall_s": 2.0})
+    earlier = _bench(1886, a={"wall_s": 0.4, "ok_frac": 0.0}, b={"wall_s": 2.0, "ok_frac": 0.5})
     assert module.compare(now, earlier, metrics) == [
+        "c                wall_s            - -> - s (-)",
+        "c                ok_frac           - -> - ratio (-)",
         "a                wall_s            0.4 -> 0.3 s (-25.0%)",
         "a                ok_frac           0 -> 1 ratio (-)",
         "b                wall_s            2 -> 2 s (+0.0%)",
         "b                ok_frac           0.5 -> - ratio (-)",
-        "c                wall_s            - -> - s (-)",
-        "c                ok_frac           - -> - ratio (-)",
+        "src_lines 1886 -> 1869 (-17)",
     ]
+    assert module.compare(now, _bench(a={"wall_s": 0.4}), metrics[:1])[-1] == (
+        "src_lines - -> 1869 (-)")
 
 
 def test_bench_record_prints_the_comparison_after_writing(tmp_path, monkeypatch, capsys):
@@ -167,12 +173,14 @@ def test_bench_record_prints_the_comparison_after_writing(tmp_path, monkeypatch,
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1, "workloads": [{"name": "a"}],
         "end_to_end": [{"name": "wall_s", "unit": "s"}]}))
-    (tmp_path / "BENCH_19.json").write_text(json.dumps(_bench(a={"wall_s": 0.5})))
+    (tmp_path / "BENCH_19.json").write_text(json.dumps(_bench(1886, a={"wall_s": 0.5})))
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "run_workload", lambda name, seconds, trace: {
-        "exit_code": 0, "result": {"correct": True, "metrics": {
-            "wall_s": {"value": 0.45, "unit": "s"}}}})
+        "exit_code": 0, "meta": {**_META, "src_lines": 1869}, "result": {
+            "correct": True, "metrics": {"wall_s": {"value": 0.45, "unit": "s"}}}})
     assert module.main(["20"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "wrote BENCH_20.json", "end-to-end metrics, BENCH_19.json -> BENCH_20.json:",
-        "  a                wall_s            0.5 -> 0.45 s (-10.0%)"]
+        "wrote BENCH_20.json",
+        "end-to-end metrics and src/ lines, BENCH_19.json -> BENCH_20.json:",
+        "  a                wall_s            0.5 -> 0.45 s (-10.0%)",
+        "  src_lines 1886 -> 1869 (-17)"]

@@ -19,7 +19,8 @@ With ``--pytest-log`` it also keeps the summary line and the ``slowest 10
 durations`` block of a pytest log, such as ``test_output.txt``. The file is
 written to the repository root. It then prints each workload's end-to-end
 metrics next to those of the newest earlier ``BENCH_<m>.json`` (m < n), with
-the change in percent. Exits 1 if a run failed or was not correct.
+the change in percent, and then the two ``src_lines``. Exits 1 if a run
+failed or was not correct.
 """
 from __future__ import annotations
 
@@ -108,10 +109,17 @@ def _end_to_end(record: dict, workload: str) -> dict:
             run.get("result", {}).get("metrics", {}).items()}
 
 
+def _src_lines(record: dict) -> int | None:
+    """The ``src/`` line count of a record's first run meta line that has one."""
+    return next((run["meta"]["src_lines"] for runs in record["workloads"].values()
+                 for run in runs.values() if "src_lines" in run.get("meta", {})), None)
+
+
 def compare(record: dict, earlier: dict, metrics: list[dict]) -> list[str]:
     """One line per workload of ``record`` and end-to-end metric: the value
     in ``earlier``, the value in ``record`` and the change in percent, or
-    "-" where a run has no value."""
+    "-" where a run has no value. Then the ``src/`` line counts, with the
+    change in lines."""
     lines = []
     for workload in record["workloads"]:
         now, before = _end_to_end(record, workload), _end_to_end(earlier, workload)
@@ -121,7 +129,9 @@ def compare(record: dict, earlier: dict, metrics: list[dict]) -> list[str]:
             values = " -> ".join("-" if v is None else f"{v:.6g}" for v in (a, b))
             lines.append(f"{workload:<16} {metric['name']:<17} {values} {metric['unit']} "
                          f"({change})")
-    return lines
+    a, b = _src_lines(earlier), _src_lines(record)
+    values = " -> ".join("-" if v is None else str(v) for v in (a, b))
+    return lines + [f"src_lines {values} ({'-' if None in (a, b) else f'{b - a:+d}'})"]
 
 
 def main(argv=None) -> int:
@@ -145,7 +155,7 @@ def main(argv=None) -> int:
     print(f"wrote {out.name}" + (f"; failed runs: {', '.join(failed)}" if failed else ""))
     earlier = newest_before(args.number, ROOT)
     if earlier is not None:
-        print(f"end-to-end metrics, {earlier.name} -> {out.name}:")
+        print(f"end-to-end metrics and src/ lines, {earlier.name} -> {out.name}:")
         for line in compare(record, json.loads(earlier.read_text()), bench["end_to_end"]):
             print(f"  {line}")
     return 1 if failed else 0
