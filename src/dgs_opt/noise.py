@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import Objective
-
-_TWO_PI = 2.0 * np.pi
+from .smoothing import _TWO_PI, Objective
 
 # Wavelengths below this are resampled when drawing bandlimited components:
 # the corresponding frequencies are too large to evaluate meaningfully in
@@ -37,19 +35,14 @@ class PeriodicNoise:
         total = np.add.reduce(np.sin(_TWO_PI * self.alpha * np.asarray(x, dtype=float)), -1)
         return total if self.amplitude == 1.0 else self.amplitude * total  # 1.0 * v is v
 
+    def sine_sum(self, d: int) -> tuple[np.ndarray, float]:
+        """(alpha, weight) in d dimensions: eps(x) = weight * sum_ij sin(2 pi alpha_ij x_i)."""
+        return np.full((d, 1), float(self.alpha)), self.amplitude
+
 
 @dataclass(frozen=True, eq=False)
 class BandlimitedNoise:
-    """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0.
-
-    A C-ordered (n, d) batch computes the J sines of entry x_ri only where
-    x_ri differs, bit for bit, from x_(r-1)i in the row above, and reuses
-    them below. Along the identity basis a DGS node set moves one coordinate
-    per row, so most entries repeat; a random basis or stacked iterates
-    repeat none and take the plain formula. Either way every value has the
-    bits of the plain formula, as the sum runs over the same terms in the
-    same order.
-    """
+    """eps(x) = (1/J) sum_i sum_j sin(2 pi alpha_ij x_i), all alpha_ij >= alpha0."""
 
     alpha0: float
     frequencies: np.ndarray  # (d, J)
@@ -64,25 +57,12 @@ class BandlimitedNoise:
             raise ValueError("all frequencies must be finite and >= alpha0")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        freqs = self.frequencies
-        # A single row has no row above to reuse. The sum below runs in x's
-        # memory order and the gathered sines are in C order, so only a
-        # C-ordered x keeps its bits through the gather.
-        if x.ndim == 2 and len(x) > 1 and x.flags.c_contiguous:
-            bits = x.view(np.uint64)  # so -0.0 and each NaN payload count as new
-            new = np.empty(x.shape, dtype=bool)
-            new[0] = True
-            np.not_equal(bits[1:], bits[:-1], out=new[1:])
-            if not new.all():
-                rows, cols = np.nonzero(new)  # row-major, so ids grow down each column
-                sines = np.sin(_TWO_PI * x[rows, cols][:, None] * freqs[cols])
-                ids = np.zeros(x.shape, dtype=np.intp)
-                ids[rows, cols] = np.arange(len(rows))
-                np.maximum.accumulate(ids, axis=0, out=ids)  # the last new entry above
-                return np.add.reduce(np.take(sines, ids, axis=0), (-1, -2)) / freqs.shape[1]
-        phases = _TWO_PI * x[..., None] * freqs
-        return np.add.reduce(np.sin(phases), (-1, -2)) / freqs.shape[1]
+        phases = _TWO_PI * np.asarray(x, dtype=float)[..., None] * self.frequencies
+        return np.add.reduce(np.sin(phases), (-1, -2)) / self.frequencies.shape[1]
+
+    def sine_sum(self, d: int) -> tuple[np.ndarray, float]:
+        """(alpha, weight): eps(x) = weight * sum_ij sin(2 pi alpha_ij x_i)."""
+        return self.frequencies, 1.0 / self.frequencies.shape[1]
 
 
 def sample_bandlimited(
@@ -136,23 +116,32 @@ def closed_form_smoothed_sine_derivative(
 ) -> float:
     """Exact smoothed derivative of a unit-amplitude sine cross-section:
     d/dy E_v[sin(2 pi alpha (p + y + sigma v))] at y = 0 equals
-    2 pi alpha exp(-2 pi^2 alpha^2 sigma^2) cos(2 pi alpha p)."""
-    if not (alpha > 0 and sigma > 0):
-        raise ValueError("alpha and sigma must be positive")
-    return float(
-        _TWO_PI
-        * alpha
-        * np.exp(-2.0 * np.pi**2 * alpha**2 * sigma**2)
-        * np.cos(_TWO_PI * alpha * phase_point)
-    )
+    2 pi alpha exp(-2 pi^2 alpha^2 sigma^2) cos(2 pi alpha p). An argument
+    out of range, NaN or infinite is a ValueError that names it."""
+    for name, value in (("alpha", alpha), ("sigma", sigma)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not np.isfinite(phase_point):
+        raise ValueError(f"phase_point must be finite, got {phase_point}")
+    phase = _TWO_PI * alpha * phase_point
+    if not np.isfinite(phase):
+        raise ValueError(f"2 pi alpha phase_point overflows at {alpha} and {phase_point}")
+    ratio = alpha * sigma  # squared as a product, which overflows to inf, not an error
+    return float(_TWO_PI * alpha * np.exp(-2.0 * np.pi**2 * ratio * ratio) * np.cos(phase))
 
 
-def _attach_noise(phi, noise):
+def _noisy_objective(d: int, phi, noise, **known) -> Objective:
+    """The objective phi + noise. A noise that is a sine sum is also kept
+    apart from phi, so the estimators take it from its tables."""
     if noise is None:
-        return phi
+        return Objective(dimension=d, evaluate=phi, **known)
+
     def evaluate(x):
         return phi(x) + noise.evaluate(x)
-    return evaluate
+
+    if hasattr(noise, "sine_sum"):
+        known.update(sines=(phi, *noise.sine_sum(d)))
+    return Objective(dimension=d, evaluate=evaluate, **known)
 
 
 def power_sum_sqrt_objective(d: int = 5, noise=None) -> Objective:
@@ -171,12 +160,7 @@ def power_sum_sqrt_objective(d: int = 5, noise=None) -> Objective:
             g = powers * np.abs(x) ** (powers - 1) * np.sign(x) / (2.0 * s)
         return np.where(s == 0, 0.0, g)
 
-    return Objective(
-        dimension=d,
-        evaluate=_attach_noise(phi, noise),
-        true_gradient=grad,
-        minimizer=np.zeros(d),
-    )
+    return _noisy_objective(d, phi, noise, true_gradient=grad, minimizer=np.zeros(d))
 
 
 def quadratic_objective(d: int = 5, noise=None) -> Objective:
@@ -189,12 +173,7 @@ def quadratic_objective(d: int = 5, noise=None) -> Objective:
     def grad(x):
         return 2.0 * np.asarray(x, dtype=float)
 
-    return Objective(
-        dimension=d,
-        evaluate=_attach_noise(phi, noise),
-        true_gradient=grad,
-        minimizer=np.zeros(d),
-    )
+    return _noisy_objective(d, phi, noise, true_gradient=grad, minimizer=np.zeros(d))
 
 
 def noise_only_objective(d: int, noise) -> Objective:

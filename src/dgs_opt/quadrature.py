@@ -15,9 +15,11 @@ class GHRule:
     """An M-point Gauss-Hermite rule.
 
     Nodes are the roots of the M-th physicists' Hermite polynomial, strictly
-    increasing and symmetric about 0. Weights are positive, mirror-symmetric
-    and sum to sqrt(pi). The rule integrates v^k exp(-v^2) exactly for all
-    k <= 2M - 1.
+    increasing and symmetric about 0 bit for bit (nodes == -nodes[::-1], +0.0
+    in the middle at odd M). Weights are positive, mirror-symmetric bit for
+    bit (weights == weights[::-1]) and sum to sqrt(pi). So sum_m w_m v_m
+    g(v_m) cancels for an even g, as a sine sum's table needs (smoothing).
+    The rule integrates v^k exp(-v^2) exactly for all k <= 2M - 1.
     """
 
     order: int

@@ -20,6 +20,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
 _SQRT2, _SQRT_PI = math.sqrt(2.0), math.sqrt(math.pi)  # floats: no numpy scalar per radius
+_TWO_PI = 2.0 * math.pi
 _ZERO = np.zeros(())  # adds +0.0 in fewer steps than the Python float 0.0
 
 # The smallest radius an estimate is made at: below it estimates only amplify
@@ -50,15 +51,28 @@ class Objective:
     ``evaluate`` must be a pure, deterministic map that takes an (n, d) array
     of points and returns n values (a single (d,) point gives one value),
     and be safe for concurrent calls; the estimators batch their node
-    evaluations through it. ``true_gradient`` and ``minimizer`` are available
-    only for synthetic objectives; ``true_gradient`` also takes (n, d) batches.
-    The optimizer calls both once per trial on its stacked iterates.
+    evaluations through it unless ``sines`` is set. ``true_gradient`` and
+    ``minimizer`` are available only for synthetic objectives;
+    ``true_gradient`` also takes (n, d) batches. The optimizer calls both
+    once per trial on its stacked iterates.
+
+    When eps = weight * sum_ij sin(2 pi alpha_ij x_i), alpha (d, J), ``sines``
+    may be (phi, alpha, weight): the estimators then evaluate phi alone and
+    take eps from a table per radius (see _gh_nodes), never ``evaluate``.
     """
 
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     true_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     minimizer: Optional[np.ndarray] = None
+    sines: Optional[tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, float]] = None
+
+    def __post_init__(self):
+        if self.sines is not None and (len(self.sines) != 3 or not callable(self.sines[0])):
+            raise ValueError("sines must be (phi, alpha, weight) with phi callable")
+        shape = np.shape(self.sines[1]) if self.sines is not None else (self.dimension, 0)
+        if len(shape) != 2 or shape[0] != self.dimension:
+            raise ValueError(f"sines: alpha must be ({self.dimension}, J), got {shape}")
 
     def eval_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of an (n, d) array, in row order; raises
@@ -106,23 +120,37 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(columns: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
+def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[float], tuple]:
     """The builder, one radius at a time, of what a Gauss-Hermite estimate
     along each column xi of ``columns`` (d x k) needs besides x and F:
     ``nodes_at(sigma)`` gives the node offsets ((sqrt(2) sigma) v_m) xi from
     x, as a (k * M, d) array, direction-major; the coefficients w_m v_m; the
-    factor sqrt(2) / (sqrt(pi) sigma); and the columns, with whether they are
-    the identity. All but the offsets and factor are built here once, so
-    each radius costs two array operations."""
+    factor sqrt(2) / (sqrt(pi) sigma); the columns, with whether they are
+    the identity; and, for an objective's ``sines`` (phi, alpha, weight), a
+    table and the rates 2 pi alpha^T (else None twice). With p_ij = 2 pi
+    alpha_ij x_i and q_kmij = 2 pi alpha_ij (sqrt(2) sigma v_m) xi_ki,
+    sin(p + q) = sin p cos q + cos p sin q; summed with w_m v_m over the
+    mirror-symmetric nodes (GHRule) the cos q part cancels and the sin q part
+    doubles. So the sine sum adds sum_ij table[k, j, i] cos(p_ij) to
+    direction k's sum: d * J cosines for any M, where table[k, j, i] =
+    2 weight sum_(v_m > 0) w_m v_m sin(q_kmij). The rest is built once."""
     d = len(columns)
-    identity = np.array_equal(columns, np.eye(d))
     nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
     # C-ordered directions give C-ordered offsets, which reshape without a copy
     directions = np.ascontiguousarray(columns.T)[:, None, :]
+    identity, rates = np.array_equal(columns, np.eye(d)), None
+    if sines is not None:
+        rates = np.ascontiguousarray(_TWO_PI * np.transpose(sines[1]))  # (J, d)
+        positive = slice((rule.order + 1) // 2, None)  # nodes increase from -v to v
+        halves = (2.0 * sines[2]) * coefficients[positive]
+        units = (nodes[positive] * directions)[:, :, None, :] * rates  # q / (sqrt(2) sigma)
 
     def nodes_at(sigma: float) -> tuple:
-        offsets = ((_SQRT2 * sigma) * nodes) * directions
-        return offsets.reshape(-1, d), coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity
+        offsets, table = ((_SQRT2 * sigma) * nodes) * directions, None
+        if sines is not None:
+            table = c_einsum("m,kmji->kji", halves, np.sin((_SQRT2 * sigma) * units))
+        return (offsets.reshape(-1, d), coefficients, _SQRT2 / (_SQRT_PI * sigma), columns,
+                identity, table, rates)
 
     return nodes_at
 
@@ -130,20 +158,22 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule) -> Callable[[float], tuple]:
 def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     """The DGS estimate at x from one evaluation of k * M points: the
     smoothed directional derivatives along each direction xi of ``nodes`` (a
-    radius's offsets, coefficients, factor and columns from _gh_nodes),
-    (1 / (sqrt(pi) * sigma)) * sum_m w_m F(x + sqrt(2) sigma v_m xi) *
-    sqrt(2) v_m, mapped back to standard coordinates by the product with the
-    columns. Raises EvaluationError at the first point whose value is not
-    finite, as Objective.eval_batch."""
-    offsets, coefficients, scale, columns, identity = nodes
+    radius's build from _gh_nodes), (1 / (sqrt(pi) * sigma)) * sum_m w_m
+    F(x + sqrt(2) sigma v_m xi) * sqrt(2) v_m, mapped back to standard
+    coordinates by the product with the columns; with a sine-sum table, F is
+    the objective's phi plus the table's term. Raises EvaluationError at the
+    first point whose value is not finite, as Objective.eval_batch."""
+    offsets, coefficients, scale, columns, identity, table, rates = nodes
     # x is added last, so each point has the bits of x + (sqrt(2) sigma v_m xi)
     points = x + offsets
-    values = np.asarray(f.evaluate(points), dtype=float)
+    values = np.asarray((f.evaluate if table is None else f.sines[0])(points), dtype=float)
     # einsum's loop, not values @ coefficients: BLAS rounds a row of a
     # matrix-vector product differently depending on how many rows it is
     # given, and a direction's derivative should not depend on the others.
     # np.vecdot, np.matvec and (V * c).sum(1) each round unlike einsum too.
     derivatives = c_einsum("km,m->k", values.reshape(-1, len(coefficients)), coefficients)
+    if table is not None:
+        derivatives += c_einsum("kji,ji->k", table, np.cos(rates * x))
     derivatives *= scale
     # A value that is not finite makes its derivative, and so their sum, not
     # finite: a zero coefficient gives 0 * inf = NaN. Only then are the
@@ -173,4 +203,4 @@ def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
     if f.dimension != len(columns):
         raise ValueError(f"objective is {f.dimension}-dimensional, "
                          f"basis and point are {len(columns)}-dimensional")
-    return _gh_gradient(f, x, _gh_nodes(columns, rule)(sigma))
+    return _gh_gradient(f, x, _gh_nodes(columns, rule, f.sines)(sigma))

@@ -497,8 +497,8 @@ def test_node_offsets_are_built_once_per_radius_change(case, builds, monkeypatch
     builders, calls = [], []
     gh_nodes = dgs_opt.optimizer._gh_nodes
 
-    def counted(directions, rule):
-        nodes_at = gh_nodes(directions, rule)
+    def counted(directions, rule, sines=None):
+        nodes_at = gh_nodes(directions, rule, sines)
         builders.append(rule)
         return lambda sigma: calls.append(sigma) or nodes_at(sigma)
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgs_opt import (
+    BandlimitedNoise,
+    DiminishingNoise,
     DirectionBasis,
     EvaluationError,
     Objective,
@@ -15,6 +17,7 @@ from dgs_opt import (
     power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
+    sample_bandlimited,
 )
 from dgs_opt.smoothing import SIGMA_FLOOR, _gh_gradient, _gh_nodes
 
@@ -118,7 +121,7 @@ class TestDGSGradient:
         # each direction's derivative on its own, from its own one-row node set
         want = []
         for i, e in enumerate(np.eye(d)):
-            want.append(_gh_gradient(f, x, _gh_nodes(e[:, None], rule)(0.4))[i])
+            want.append(_gh_gradient(f, x, _gh_nodes(e[:, None], rule, f.sines)(0.4))[i])
         np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
@@ -187,12 +190,13 @@ def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed
         fresh = _gh_nodes(basis.columns, rule)(sigma)
         want = (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
                 rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))
-        for offsets, coefficients, scale, columns, identity in (nodes, fresh):
+        for offsets, coefficients, scale, columns, identity, table, rates in (nodes, fresh):
             assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
             assert coefficients.tobytes() == want[1].tobytes()
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
             assert columns is basis.columns
             assert identity == np.array_equal(columns, np.eye(d))
+            assert table is None and rates is None  # no sine sum was given
 
 
 # -1e-30 times the factor at sigma = 1e300 underflows to -0.0; 1.7e308 overflows the sums
@@ -287,3 +291,112 @@ def test_evaluate_is_called_once_per_estimate_also_when_it_raises(bad):
             dgs_gradient(f, np.ones(d), 0.5, rule, basis)
     assert calls == [order * d]
 
+
+
+def _evaluate_path(f, x, sigma, rule, basis):
+    """The estimate from F at every node, f.evaluate's sine sum included:
+    the oracle of the sine-sum tables."""
+    nodes = _gh_nodes(basis.columns, rule)(sigma)
+    return _gh_gradient(Objective(dimension=f.dimension, evaluate=f.evaluate), x, nodes)
+
+
+def _term_sizes(f, x, sigma, rule, basis):
+    """Per direction, the size of the terms its GH sum adds: the factor
+    times sum_m |w_m v_m| (|phi| + |weight| d J) at its nodes. Both paths
+    round at this scale; the evaluate path also rounds each node point, so
+    that its sines are off by up to 1.1e-16 of their phase."""
+    offsets, coefficients, scale = _gh_nodes(basis.columns, rule)(sigma)[:3]
+    phi, frequencies, weight = f.sines
+    bound = np.abs(phi(x + offsets)) + abs(weight) * frequencies.size
+    return scale * (bound.reshape(-1, rule.order) @ np.abs(coefficients))
+
+
+_SMOOTH = {
+    "power-sum-sqrt": power_sum_sqrt_objective,
+    "quadratic": quadratic_objective,
+    "none": lambda d, noise: Objective(dimension=d, evaluate=noise.evaluate,
+                                       sines=(lambda x: np.zeros(len(x)),
+                                              *noise.sine_sum(d))),
+}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(order=st.integers(1, 64), d=st.integers(1, 6), components=st.integers(1, 20),
+       basis_seed=st.none() | st.integers(0, 2**32 - 1), sigma=st.floats(1e-2, 50.0),
+       kind=st.sampled_from(["periodic", "bandlimited"]),
+       amplitude=st.sampled_from([2.5, -0.75, 1e-3, 40.0]),
+       smooth=st.sampled_from(list(_SMOOTH)), seed=st.integers(0, 2**32 - 1))
+def test_sine_sum_table_matches_the_evaluate_path(order, d, components, basis_seed, sigma,
+                                                  kind, amplitude, smooth, seed):
+    # the table estimate within 1e-12 of F evaluated at every node, relative
+    # to the size of the GH terms. The frequencies keep every phase 2 pi
+    # alpha y, at x and at each node y, below 1e4 rad: beyond that the
+    # evaluate path's own point rounding reaches 1e-12
+    rng = np.random.default_rng(seed)
+    rule = build_gh_rule(order)
+    basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
+    x = rng.uniform(-20.0, 20.0, d)
+    reach = np.abs(x).max() + np.sqrt(2.0) * sigma * rule.nodes[-1]
+    top = 1e4 / (2.0 * np.pi * reach)  # the largest frequency allowed
+    if kind == "periodic":  # J = 1, with an amplitude other than 1
+        noise = PeriodicNoise(top * rng.uniform(1e-3, 1.0), amplitude)
+    else:
+        frequencies = top * rng.uniform(1e-3, 1.0, (d, components))
+        noise = BandlimitedNoise(frequencies.min(), frequencies)
+    f = _SMOOTH[smooth](d, noise)
+    got = dgs_gradient(f, x, sigma, rule, basis)
+    want = _evaluate_path(f, x, sigma, rule, basis)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(_term_sizes(f, x, sigma, rule,
+                                                                            basis))
+
+
+_WORKLOAD_NOISES = {  # each shipped noise kind at its benchmark workload's shape
+    "periodic-m5": (PeriodicNoise(1.0), 5, identity_basis(5)),
+    "bandlimited-m40": (sample_bandlimited(5, 1.0, 20, seed=11), 40, identity_basis(5)),
+    "bandlimited-m40-random": (sample_bandlimited(5, 1.0, 20, seed=12), 40,
+                               random_orthonormal_basis(5, 4)),
+}
+
+
+@pytest.mark.parametrize("workload", list(_WORKLOAD_NOISES))
+def test_sine_sum_table_matches_the_evaluate_path_at_the_workload_shapes(workload):
+    # power-sum-sqrt plus the noise, at the benchmark's sigma grid and box:
+    # within 1e-12 of the evaluate path relative to the estimate itself
+    noise, order, basis = _WORKLOAD_NOISES[workload]
+    f, rule = power_sum_sqrt_objective(5, noise), build_gh_rule(order)
+    assert f.sines is not None
+    worst = 0.0
+    for x in np.random.default_rng(5).uniform(-20.0, 20.0, (20, 5)):
+        for sigma in (0.01, 0.1, 1.0, 10.0, 50.0):
+            got = dgs_gradient(f, x, sigma, rule, basis)
+            want = _evaluate_path(f, x, sigma, rule, basis)
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    quadratic_objective(5, DiminishingNoise(beta=1e-4)),  # the theorem3-cli workload's
+    quadratic_objective(5),
+    Objective(dimension=5, evaluate=PeriodicNoise(1.0).evaluate),  # a user objective
+], ids=["diminishing", "noise-free", "user"])
+def test_objectives_without_a_sine_sum_keep_the_evaluate_path(f):
+    assert f.sines is None
+    rule, basis = build_gh_rule(5), random_orthonormal_basis(5, 2)
+    x = np.random.default_rng(1).uniform(-5.0, 5.0, 5)
+    got = dgs_gradient(f, x, 0.3, rule, basis)
+    assert got.tobytes() == _evaluate_path(f, x, 0.3, rule, basis).tobytes()
+
+
+def _zero(x):
+    return np.zeros(len(x))
+
+
+@pytest.mark.parametrize("sines, match", [
+    ((None, np.ones((3, 2)), 0.5), "phi callable"),  # a table with no phi to add it to
+    ((np.ones((3, 2)), 0.5), "phi callable"),  # phi left out
+    ((_zero, np.ones((4, 2)), 0.5), r"be \(3, J\), got \(4, 2\)"),  # another dimension
+    ((_zero, np.ones(3), 0.5), r"be \(3, J\), got \(3,\)"),  # not (d, J)
+], ids=["phi-none", "phi-missing", "alpha-other-dimension", "alpha-1d"])
+def test_objective_rejects_a_sine_sum_it_cannot_use(sines, match):
+    with pytest.raises(ValueError, match=match):
+        Objective(dimension=3, evaluate=_zero, sines=sines)

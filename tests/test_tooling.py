@@ -184,3 +184,35 @@ def test_bench_record_prints_the_comparison_after_writing(tmp_path, monkeypatch,
         "end-to-end metrics and src/ lines, BENCH_19.json -> BENCH_20.json:",
         "  a                wall_s            0.5 -> 0.45 s (-10.0%)",
         "  src_lines 1886 -> 1869 (-17)"]
+
+
+def _reference_check(*args, patch: str = "") -> subprocess.CompletedProcess:
+    """Run tools/reference_check.py with ``args``, after running ``patch``
+    with perfbench's modules importable."""
+    code = (f"import runpy, sys\nsys.argv = ['reference_check.py', *{list(args)!r}]\n"
+            f"sys.dont_write_bytecode = True\nsys.path.insert(0, 'perfbench')\n{patch}\n"
+            "runpy.run_path('tools/reference_check.py', run_name='__main__')\n")
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("workload", ["periodic-m5", "bandlimited-m40", "theorem3-cli"])
+def test_reference_check_passes_a_smoke_seed(workload):
+    done = _reference_check("--workload", workload, "--seeds", "0", "1", "--smoke")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"{workload}: 0 of 4 configs failed (workload seeds 0 .. 0, smoke sizes)"]
+
+
+def test_reference_check_names_each_failing_config_and_exits_1():
+    # a reference whose trials all diverged disagrees with every config
+    patch = ("import reference\nsweep = reference.sweep\n"
+             "reference.sweep = lambda doc: dict(sweep(doc), trials_ok=[0] * 5)")
+    done = _reference_check("--workload", "periodic-m5", "--seeds", "2", "3", "--smoke",
+                            patch=patch)
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"master seed {s}" for s in range(8, 12)]
+    assert lines[0].startswith("master seed 8: trials_ok [")
+    assert lines[0].endswith("] != reference [0, 0, 0, 0, 0]")
+    assert lines[-1] == "periodic-m5: 4 of 4 configs failed (workload seeds 2 .. 2, smoke sizes)"
