@@ -16,6 +16,7 @@ from .theory import ConvexityConstants, diminishing_rate
 
 # Iterates beyond this norm abort the run before NaN cascades set in.
 DIVERGENCE_NORM = 1e12
+_BLOCK_BYTES = 1 << 16  # bytes of one block's build; a radius takes at most d M (d + d J) floats
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,11 @@ class SigmaSchedule:
             raise ValueError(f"sigma0 must be finite and >= {SIGMA_FLOOR:g}, got {self.sigma0}")
         if not 0.0 < self.contraction <= 1.0:
             raise ValueError(f"contraction must be in (0,1], got {self.contraction}")
-        if self.switch_iteration < 0:
-            raise ValueError("switch_iteration must be nonnegative")
+        n = self.switch_iteration
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"switch_iteration must be a nonnegative integer, got {n!r}")
+        for name in ("sigma0", "contraction"):  # Python floats: a float32 one makes all float32
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def theorem3_schedule(beta: float, L: float, tau: float, r0_tilde: float,
@@ -50,7 +54,7 @@ def theorem3_schedule(beta: float, L: float, tau: float, r0_tilde: float,
     if not rho < 1.0:
         raise ValueError(f"rho = {rho:.6g} >= 1: beta is too large for the decaying radius")
     scale = np.sqrt(beta) / (8.0 * L**2 * np.pi + 4.0 * beta**2) ** 0.25
-    return SigmaSchedule(float(scale * r0_tilde), 0, float(np.sqrt(rho)))
+    return SigmaSchedule(scale * r0_tilde, 0, np.sqrt(rho))
 
 
 def sigma_at(schedule: SigmaSchedule, t: int) -> float:
@@ -75,8 +79,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
 @dataclass(eq=False)
@@ -115,35 +120,43 @@ def run(config: RunConfig) -> TrialRecord:
     Deterministic given the config. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
-    always ends at the last finite iterate. The loop only steps: it reads
-    each step's radius once, from sigma_at, and builds that radius's node
-    offsets, factor and sine-sum table with _gh_nodes only when it differs
-    from the last step's. So a constant radius is built once per trial and a
-    decaying one once per step. Each estimate is _gh_gradient's, as in dgs_gradient. The
-    objective and cosine columns are computed after the loop, from the
-    stacked iterates.
+    always ends at the last finite iterate. At a new radius with none built
+    ahead, the loop reads up to a block of radii ahead from sigma_at (to
+    max_iterations or the first below SIGMA_FLOOR) and builds the new ones in
+    one _gh_nodes call, so a constant radius is built once per trial. Each
+    estimate is _gh_gradient's, as in dgs_gradient. The objective and cosine
+    columns are computed after the loop, from the stacked iterates.
     """
     f, rule, columns = config.objective, config.rule, config.basis.columns
-    d = f.dimension
-    nodes_at = _gh_nodes(columns, rule, f.sines)
+    d, nodes_at = f.dimension, _gh_nodes(columns, rule, f.sines)
     step_size, schedule, last = config.step_size, config.schedule, config.max_iterations
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
         raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
+    size = _BLOCK_BYTES // (8 * d * rule.order * (d + np.size(f.sines[1] if f.sines else []))) or 1
 
     iterates = [x]
     estimates: list[np.ndarray] = []
-    sigmas: list[float] = []
-    status, radius = "ok", None
+    sigmas: list[float] = []  # the radii read, up to a block ahead of t
+    status, radius, built = "ok", None, []  # built: the nodes of the new radii read, last first
     for t in range(last + 1):
-        sigma = sigma_at(schedule, t)
-        sigmas.append(sigma)
+        if t == len(sigmas):
+            sigmas.append(sigma_at(schedule, t))
+        sigma = sigmas[t]
         if t == last:
             break
         if sigma != radius:  # a radius below the floor always differs from the last
             if sigma < SIGMA_FLOOR:
                 break
-            nodes, radius = nodes_at(sigma), sigma
+            if not built:  # read a block ahead; build this radius and the block's new ones
+                for t_ahead in range(t + 1, min(t + size, last)):
+                    sigmas.append(sigma_at(schedule, t_ahead))
+                    if sigmas[-1] < SIGMA_FLOOR:
+                        break
+                ahead = sigmas[t:]  # the last may be below the floor
+                new = [s for s, p in zip(ahead, [radius] + ahead) if p != s >= SIGMA_FLOOR]
+                built = nodes_at(new)[::-1]
+            nodes, radius = built.pop(), sigma
         try:
             estimate = _gh_gradient(f, x, nodes)
         except EvaluationError:
@@ -174,7 +187,7 @@ def run(config: RunConfig) -> TrialRecord:
         distances=np.sqrt(_row_dots(o, o)),
         objective_values=np.asarray(f.evaluate(iterates), dtype=float),
         cosine_similarities=cosines,
-        sigmas=np.array(sigmas),
+        sigmas=np.array(sigmas[:len(iterates)]),
         evaluation_count=t * rule.order * d,
         iterations_run=t,
         status=status,

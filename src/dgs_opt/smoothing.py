@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -120,20 +120,21 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
-def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[float], tuple]:
-    """The builder, one radius at a time, of what a Gauss-Hermite estimate
-    along each column xi of ``columns`` (d x k) needs besides x and F:
-    ``nodes_at(sigma)`` gives the node offsets ((sqrt(2) sigma) v_m) xi from
-    x, as a (k * M, d) array, direction-major; the coefficients w_m v_m; the
-    factor sqrt(2) / (sqrt(pi) sigma); the columns, with whether they are
-    the identity; and, for an objective's ``sines`` (phi, alpha, weight), a
-    table and the rates 2 pi alpha^T (else None twice). With p_ij = 2 pi
-    alpha_ij x_i and q_kmij = 2 pi alpha_ij (sqrt(2) sigma v_m) xi_ki,
-    sin(p + q) = sin p cos q + cos p sin q; summed with w_m v_m over the
-    mirror-symmetric nodes (GHRule) the cos q part cancels and the sin q part
-    doubles. So the sine sum adds sum_ij table[k, j, i] cos(p_ij) to
-    direction k's sum: d * J cosines for any M, where table[k, j, i] =
-    2 weight sum_(v_m > 0) w_m v_m sin(q_kmij). The rest is built once."""
+def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequence[float]], list]:
+    """The builder, many radii at once, of what a Gauss-Hermite estimate along
+    each column xi of ``columns`` (d x k) needs besides x and F: per float
+    sigma in ``radii``, with the bits of its build alone, ``nodes_at(radii)``
+    gives the node offsets ((sqrt(2) sigma) v_m) xi from x, as a (k * M, d)
+    array, direction-major; the coefficients w_m v_m; the factor sqrt(2) /
+    (sqrt(pi) sigma); the columns, with whether they are the identity; and, for
+    an objective's ``sines`` (phi, alpha, weight), a table and the rates 2 pi
+    alpha^T (else None twice). With p_ij = 2 pi alpha_ij x_i and q_kmij = 2 pi
+    alpha_ij (sqrt(2) sigma v_m) xi_ki, sin(p + q) = sin p cos q + cos p sin q;
+    summed with w_m v_m over the mirror-symmetric nodes (GHRule) the cos q part
+    cancels and the sin q part doubles. So the sine sum adds
+    sum_ij table[k, j, i] cos(p_ij) to direction k's sum: d * J cosines for
+    any M, where table[k, j, i] = 2 weight sum_(v_m > 0) w_m v_m sin(q_kmij).
+    The rest is built once."""
     d = len(columns)
     nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
     # C-ordered directions give C-ordered offsets, which reshape without a copy
@@ -145,12 +146,13 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[float]
         halves = (2.0 * sines[2]) * coefficients[positive]
         units = (nodes[positive] * directions)[:, :, None, :] * rates  # q / (sqrt(2) sigma)
 
-    def nodes_at(sigma: float) -> tuple:
-        offsets, table = ((_SQRT2 * sigma) * nodes) * directions, None
-        if sines is not None:
-            table = c_einsum("m,kmji->kji", halves, np.sin((_SQRT2 * sigma) * units))
-        return (offsets.reshape(-1, d), coefficients, _SQRT2 / (_SQRT_PI * sigma), columns,
-                identity, table, rates)
+    def nodes_at(radii: Sequence[float]) -> list:
+        scaled = _SQRT2 * np.array(radii, dtype=float)
+        offsets = (scaled[:, None, None] * nodes)[:, None] * directions
+        tables = [None] * len(radii) if sines is None else c_einsum(
+            "m,nkmji->nkji", halves, np.sin(scaled[:, None, None, None, None] * units))
+        return [(o, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
+                for o, sigma, table in zip(offsets.reshape(len(radii), -1, d), radii, tables)]
 
     return nodes_at
 
@@ -192,10 +194,10 @@ def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
     """DGS gradient estimate at x with radius sigma: the d directional GH
     derivatives along the basis directions, mapped back to standard
     coordinates, from exactly M * d evaluations in a fixed order, so it is
-    bit-reproducible. A radius below SIGMA_FLOOR or infinite, a point of
-    another shape, or an objective of another dimension is a ValueError."""
-    if not SIGMA_FLOOR <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and at least {SIGMA_FLOOR:g}, got {sigma}")
+    bit-reproducible. A radius not a scalar, below SIGMA_FLOOR or infinite, a
+    point of another shape, or an objective of another dimension is a ValueError."""
+    if np.ndim(sigma) != 0 or not SIGMA_FLOOR <= (sigma := float(sigma)) < math.inf:
+        raise ValueError(f"sigma {sigma} is not a scalar, finite and at least {SIGMA_FLOOR:g}")
     x = np.asarray(x, dtype=float)
     columns = basis.columns
     if x.shape != columns.shape[1:]:
@@ -203,4 +205,4 @@ def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
     if f.dimension != len(columns):
         raise ValueError(f"objective is {f.dimension}-dimensional, "
                          f"basis and point are {len(columns)}-dimensional")
-    return _gh_gradient(f, x, _gh_nodes(columns, rule, f.sines)(sigma))
+    return _gh_gradient(f, x, _gh_nodes(columns, rule, f.sines)([sigma])[0])

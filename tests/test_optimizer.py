@@ -92,6 +92,27 @@ class TestSchedules:
         with pytest.raises(ValueError):
             sigma_at(SigmaSchedule(1.0), -1)
 
+    @pytest.mark.parametrize("switch", [2.5, 3.0, True, "3"])
+    def test_switch_iteration_not_an_integer_rejected(self, switch):
+        # 2.5 was accepted, and sigma_at(..., 3) then returned 0.5 ** 0.5
+        with pytest.raises(ValueError, match="switch_iteration must be a nonnegative integer"):
+            SigmaSchedule(1.0, switch_iteration=switch, contraction=0.5)
+
+    def test_numpy_integer_switch_accepted(self):
+        assert sigma_at(SigmaSchedule(1.0, np.int64(2), 0.5), 3) == 0.5
+
+    def test_float32_parameters_are_stored_as_python_floats(self):
+        # a float32 radius made every radius, step and record column float32
+        sched = SigmaSchedule(np.float32(0.5), 2, np.float32(0.75))
+        assert type(sched.sigma0) is float and type(sched.contraction) is float
+        assert sigma_at(sched, 4) == 0.5 * 0.75**2
+        f = quadratic_objective(3)
+        got = run(make_run_config(f, schedule=sched))
+        want = run(make_run_config(f, schedule=SigmaSchedule(0.5, 2, 0.75)))
+        assert got.sigmas.dtype == got.iterates.dtype == np.float64
+        assert got.sigmas.tobytes() == want.sigmas.tobytes()
+        assert got.iterates.tobytes() == want.iterates.tobytes()
+
 
 def _old_sigma(kind, t, sigma0=1.0, switch=0, c=1.0, beta=1.0, L=2.0, tau=2.0, r0=1.0, d=5):
     """The per-kind radius formulas the schedule kinds were written with."""
@@ -211,6 +232,16 @@ class TestRun:
         # after 1 step
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
             make_run_config(quadratic_objective(3), step_size=step_size)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True, "3"])
+    def test_max_iterations_not_an_integer_rejected(self, max_iterations):
+        # 2.5 was accepted, and run then raised TypeError from range()
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            make_run_config(quadratic_objective(3), max_iterations=max_iterations)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        rec = run(make_run_config(quadratic_objective(3), max_iterations=np.int64(3)))
+        assert rec.iterations_run == 3
 
     def test_initial_point_shape_validated(self):
         with pytest.raises(ValueError):
@@ -412,7 +443,7 @@ def test_zero_estimate_from_a_minus_zero_start_keeps_the_basis_product_bits(case
                           rule=build_gh_rule(order), initial_point=np.full(d, -0.0),
                           max_iterations=5)
     if case == "underflowed-derivatives":
-        offsets, coefficients, scale = _gh_nodes(cfg.basis.columns, cfg.rule)(sigma0)[:3]
+        offsets, coefficients, scale = _gh_nodes(cfg.basis.columns, cfg.rule)([sigma0])[0][:3]
         values = evaluate(cfg.initial_point + offsets).reshape(d, order)
         derivatives = np.einsum("km,m->k", values, coefficients) * scale
         assert np.signbit(derivatives).all() and not derivatives.any()
@@ -483,29 +514,61 @@ def test_radius_underflowing_below_the_floor_stops_without_a_warning():
     assert (steps, status) == (2, "ok")
 
 
-@pytest.mark.parametrize("case,builds", [
-    ("constant", 1),
+def _changes(radii, last=None):
+    """The radii that differ from the one before (the first included)."""
+    return [s for i, s in enumerate(radii) if (radii[i - 1] if i else last) != s]
+
+
+@pytest.mark.parametrize("case,max_iterations,new_radii", [
+    ("constant", 1500, 1),
     # the constant phase, t = 0 to 34, then a new radius each step from 35 to 91
-    ("two-phase-switch-at-34", 1 + 57),
-    ("theorem3-to-floor", 1740),
+    ("two-phase-switch-at-34", None, 1 + 57),
+    ("theorem3-to-floor", None, 1740),
+    # a block reaches past max_iterations, whose radius is read but not built
+    ("decaying-to-max-iterations", None, 69),
     # the radius below the floor stops the run unbuilt
-    ("floor-after-switch-at-45", 1),
+    ("floor-after-switch-at-45", None, 1),
+    # the radius holds to t = 11, then decays to the blow-up step at t = 270
+    ("norm-blowup", None, 1 + 259),
+    # stops within 10 steps of a million
+    ("nonfinite-eval", 10**6, 10),
 ])
-def test_node_offsets_are_built_once_per_radius_change(case, builds, monkeypatch):
-    # the rule's and the basis's share is shaped once per trial; a constant
-    # radius is built once per trial, a decaying one once per step
-    builders, calls = [], []
-    gh_nodes = dgs_opt.optimizer._gh_nodes
+def test_each_stepped_radius_is_built_once_a_block_at_a_time(case, max_iterations, new_radii,
+                                                              monkeypatch):
+    # the rule's and the basis's share is shaped once per trial; the radii
+    # are read once each, in step order, up to a block ahead and never past
+    # the first below the floor; each block's new radii are built in one
+    # call, so a constant radius is built once per trial, and none below the
+    # floor or at max_iterations; the look-ahead reads at most one block
+    # past the stop, and builds at most what it read
+    builders, blocks, read = [], [], []
+    gh_nodes, read_sigma = dgs_opt.optimizer._gh_nodes, dgs_opt.optimizer.sigma_at
 
     def counted(directions, rule, sines=None):
         nodes_at = gh_nodes(directions, rule, sines)
         builders.append(rule)
-        return lambda sigma: calls.append(sigma) or nodes_at(sigma)
+        return lambda radii: blocks.append(list(radii)) or nodes_at(radii)
 
     monkeypatch.setattr(dgs_opt.optimizer, "_gh_nodes", counted)
-    cfg = make_run_config(quadratic_objective(5), rule=build_gh_rule(7), **_STOP_CASES[case][0])
+    monkeypatch.setattr(dgs_opt.optimizer, "sigma_at",
+                        lambda schedule, t: read.append(t) or read_sigma(schedule, t))
+    overrides = dict(_STOP_CASES[case][0], rule=build_gh_rule(7))
+    overrides.setdefault("objective", quadratic_objective(5))
+    if max_iterations is not None:
+        overrides["max_iterations"] = max_iterations
+    cfg = make_run_config(**overrides)
     rec = run(cfg)
+    block = dgs_opt.optimizer._BLOCK_BYTES // (8 * 5 * 5 * 7)
     stepped = rec.sigmas[:rec.iterations_run].tolist()
-    assert builders == [cfg.rule] and len(calls) == builds
-    assert calls == [s for t, s in enumerate(stepped) if t == 0 or s != stepped[t - 1]]
-    assert min(calls) >= SIGMA_FLOOR
+    radii_read = [sigma_at(cfg.schedule, t) for t in read]
+    assert min(radii_read[:-1], default=SIGMA_FLOOR) >= SIGMA_FLOOR
+    ahead = [s for t, s in zip(read, radii_read) if t < cfg.max_iterations and s >= SIGMA_FLOOR]
+    built = [s for radii in blocks for s in radii]
+    assert builders == [cfg.rule] and all(blocks) and max(map(len, blocks)) <= block
+    assert len(_changes(stepped)) == new_radii
+    assert built == _changes(ahead) and built[:new_radii] == _changes(stepped)
+    assert all(_changes(radii, radii_before[-1] if radii_before else None) == radii
+               for radii, radii_before in zip(blocks, [[]] + blocks))
+    assert min(built) >= SIGMA_FLOOR
+    assert read == list(range(len(read)))
+    assert rec.iterations_run < len(read) <= rec.iterations_run + 1 + block

@@ -121,7 +121,8 @@ class TestDGSGradient:
         # each direction's derivative on its own, from its own one-row node set
         want = []
         for i, e in enumerate(np.eye(d)):
-            want.append(_gh_gradient(f, x, _gh_nodes(e[:, None], rule, f.sines)(0.4))[i])
+            nodes = _gh_nodes(e[:, None], rule, f.sines)([0.4])[0]
+            want.append(_gh_gradient(f, x, nodes)[i])
         np.testing.assert_array_equal(got, want)
 
     def test_bit_reproducible(self):
@@ -161,34 +162,56 @@ class TestDGSGradient:
                 dgs_gradient(f, np.ones(3), sigma, build_gh_rule(5), identity_basis(3))
         assert counter["n"] == 0
 
+    @pytest.mark.parametrize("sigma", [np.array([0.5]), [0.5], np.ones((1, 1)), np.ones(2)],
+                             ids=["array", "list", "matrix", "two"])
+    def test_radius_that_is_not_a_scalar_rejected(self, sigma):
+        with pytest.raises(ValueError, match="is not a scalar"):
+            dgs_gradient(quadratic_objective(2), np.ones(2), sigma, build_gh_rule(3),
+                         identity_basis(2))
+
+    @pytest.mark.parametrize("sigma", [np.float32(0.5), np.float64(0.5), np.array(0.5), 0.5])
+    def test_radius_of_any_float_type_gives_the_float_estimate(self, sigma):
+        # a float32 radius made the nodes and factor float32: [1.99999987, 3.99999975]
+        got = dgs_gradient(quadratic_objective(2), [1, 2], sigma, build_gh_rule(3),
+                           identity_basis(2))
+        assert got.dtype == np.float64 and got.tolist() == [2.0, 4.0]
+
     def test_radius_at_the_floor_accepted(self):
         got = dgs_gradient(quadratic_objective(3), np.ones(3), SIGMA_FLOOR, build_gh_rule(5),
                            identity_basis(3))
         assert np.all(np.isfinite(got))
 
 
-_RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
+_RADII = st.floats(-12.0, 3.0).map(lambda e: 10.0**e) | st.sampled_from(
+    [SIGMA_FLOOR, float(np.nextafter(SIGMA_FLOOR, 1.0))])
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(order=st.integers(1, 64), d=st.integers(1, 17),
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(order=st.integers(1, 64), d=st.integers(1, 17), components=st.integers(0, 24),
        basis_seed=st.none() | st.integers(0, 2**32 - 1),
        sigmas=st.lists(_RADII, min_size=1, max_size=5).flatmap(
            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
-def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed, sigmas):
-    # one builder serves a trial's radii, repeats included, in two array
-    # operations each; every radius gets, from it and from the fresh builder
-    # dgs_gradient makes, the node offsets, coefficients and factor of the
-    # plain single-radius expression, byte for byte, and a later radius
-    # leaves an earlier one's untouched
+def test_each_radius_gets_the_single_radius_expression_bits(order, d, components, basis_seed,
+                                                            sigmas):
+    # one call builds a block of radii, repeats and radii at the floor
+    # included, with or without a sine sum of J = components frequencies per
+    # axis; every radius gets, from it and from a one-radius call as
+    # dgs_gradient makes, the node offsets, coefficients, factor and table
+    # of the plain single-radius expression, byte for byte (the table's sum
+    # over the nodes in einsum's order for one radius)
     rule = build_gh_rule(order)
     basis = identity_basis(d) if basis_seed is None else random_orthonormal_basis(d, basis_seed)
     directions = basis.columns.T
-    nodes_at = _gh_nodes(basis.columns, rule)
-    built = [nodes_at(sigma) for sigma in sigmas]
+    sines = None
+    if components:
+        rng = np.random.default_rng([order, d, components])
+        sines = (None, 10.0 ** rng.uniform(-1.0, 6.0, (d, components)), rng.uniform(0.05, 2.0))
+    built = _gh_nodes(basis.columns, rule, sines)(sigmas)
+    assert len(built) == len(sigmas)
     for sigma, nodes in zip(sigmas, built):
-        fresh = _gh_nodes(basis.columns, rule)(sigma)
-        want = (np.sqrt(2.0) * sigma * rule.nodes[None, :, None] * directions[:, None, :],
+        fresh = _gh_nodes(basis.columns, rule, sines)([sigma])[0]
+        scaled = np.sqrt(2.0) * sigma
+        want = (scaled * rule.nodes[None, :, None] * directions[:, None, :],
                 rule.weights * rule.nodes, np.sqrt(2.0) / (np.sqrt(np.pi) * sigma))
         for offsets, coefficients, scale, columns, identity, table, rates in (nodes, fresh):
             assert offsets.tobytes() == np.reshape(want[0], (d * order, d)).tobytes()
@@ -196,7 +219,16 @@ def test_each_radius_gets_the_single_radius_expression_bits(order, d, basis_seed
             assert np.float64(scale).tobytes() == np.float64(want[2]).tobytes()
             assert columns is basis.columns
             assert identity == np.array_equal(columns, np.eye(d))
-            assert table is None and rates is None  # no sine sum was given
+            if sines is None:
+                assert table is None and rates is None
+                continue
+            positive = rule.nodes > 0
+            assert rates.tobytes() == (2.0 * np.pi * sines[1].T).tobytes()
+            units = (rule.nodes[positive, None] * directions[:, None, :])[:, :, None, :] * rates
+            halves = 2.0 * sines[2] * (rule.weights * rule.nodes)[positive]
+            want_table = np.einsum("m,kmji->kji", halves, np.sin(scaled * units))
+            assert table.shape == (d, components, d)
+            assert table.tobytes() == want_table.tobytes()
 
 
 # -1e-30 times the factor at sigma = 1e300 underflows to -0.0; 1.7e308 overflows the sums
@@ -252,7 +284,7 @@ def test_nonfinite_value_raises_where_eval_batch_does(order, d, basis_seed, data
         return values
 
     f = Objective(dimension=d, evaluate=evaluate)
-    points = x + _gh_nodes(basis.columns, rule)(sigma)[0]
+    points = x + _gh_nodes(basis.columns, rule)([sigma])[0][0]
     try:
         values = f.eval_batch(points)
     except EvaluationError as err:
@@ -296,7 +328,7 @@ def test_evaluate_is_called_once_per_estimate_also_when_it_raises(bad):
 def _evaluate_path(f, x, sigma, rule, basis):
     """The estimate from F at every node, f.evaluate's sine sum included:
     the oracle of the sine-sum tables."""
-    nodes = _gh_nodes(basis.columns, rule)(sigma)
+    nodes = _gh_nodes(basis.columns, rule)([sigma])[0]
     return _gh_gradient(Objective(dimension=f.dimension, evaluate=f.evaluate), x, nodes)
 
 
@@ -305,7 +337,7 @@ def _term_sizes(f, x, sigma, rule, basis):
     times sum_m |w_m v_m| (|phi| + |weight| d J) at its nodes. Both paths
     round at this scale; the evaluate path also rounds each node point, so
     that its sines are off by up to 1.1e-16 of their phase."""
-    offsets, coefficients, scale = _gh_nodes(basis.columns, rule)(sigma)[:3]
+    offsets, coefficients, scale = _gh_nodes(basis.columns, rule)([sigma])[0][:3]
     phi, frequencies, weight = f.sines
     bound = np.abs(phi(x + offsets)) + abs(weight) * frequencies.size
     return scale * (bound.reshape(-1, rule.order) @ np.abs(coefficients))
