@@ -90,37 +90,33 @@ def _cmd_bounds(args) -> int:
         build_gh_rule(args.order)  # rejects an order outside 1..MAX_ORDER
         constants = theory.ConvexityConstants(L=args.L, tau=args.tau)
         if args.model == "periodic":
-            bound = theory.periodic_noise_grad_bound(
-                args.gamma, args.n, args.alpha, args.sigma, args.d
-            )
-            sigma_rec, branch = theory.recommend_sigma_periodic(
-                constants, args.gamma, args.alpha
-            )
-            delta = theory.delta_sigma_periodic(
-                constants, args.gamma, args.alpha, args.sigma, args.d, args.order
-            )
-            print(f"noise_gradient_bound = {bound:.10g}")
-            print(f"delta_sigma          = {delta:.10g}")
-            print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
+            rows = {"noise_gradient_bound": theory.periodic_noise_grad_bound(
+                        args.gamma, args.n, args.alpha, args.sigma, args.d),
+                    "delta_sigma": theory.delta_sigma_periodic(
+                        constants, args.gamma, args.alpha, args.sigma, args.d, args.order),
+                    "recommended_sigma": theory.recommend_sigma_periodic(
+                        constants, args.gamma, args.alpha)}
         elif args.model == "bandlimited":
-            bound = theory.bandlimited_noise_grad_bound(
-                args.gamma, args.alpha, args.sigma, args.d
-            )
-            sigma_rec, branch = theory.recommend_sigma_bandlimited(
-                constants, args.gamma, args.alpha
-            )
-            print(f"noise_gradient_bound = {bound:.10g}")
-            print(f"recommended_sigma    = {sigma_rec:.10g} ({branch})")
+            rows = {"noise_gradient_bound": theory.bandlimited_noise_grad_bound(
+                        args.gamma, args.alpha, args.sigma, args.d),
+                    "recommended_sigma": theory.recommend_sigma_bandlimited(
+                        constants, args.gamma, args.alpha)}
         else:  # diminishing
-            bound = theory.diminishing_noise_grad_bound(
-                args.beta, args.sigma, args.dist, args.d
-            )
             rate = theory.diminishing_rate(constants, args.beta, args.d)
-            print(f"noise_gradient_bound = {bound:.10g}")
-            print(f"per_step_rate        = {rate:.10g}")
-            print(f"beta_condition_holds = {rate < 1.0}")
+            rows = {"noise_gradient_bound": theory.diminishing_noise_grad_bound(
+                        args.beta, args.sigma, args.dist, args.d),
+                    "per_step_rate": rate, "beta_condition_holds": rate < 1.0}
     except (ArithmeticError, ValueError) as e:  # theory's range checks, overflow
         raise ConfigError(f"bad bounds arguments: {e}") from e
+    infinite = [name for name, value in rows.items() if value == math.inf]
+    if infinite:  # a bound's limit as sigma, or alpha sigma, goes to 0
+        where = "" if args.model == "diminishing" else f" and --alpha {args.alpha!r}"
+        raise ConfigError(f"bad bounds arguments: {', '.join(infinite)} = inf "
+                          f"at --sigma {args.sigma!r}{where}")
+    for name, value in rows.items():
+        text = f"{value[0]:.10g} ({value[1]})" if isinstance(value, tuple) else (
+            value if isinstance(value, bool) else f"{value:.10g}")
+        print(f"{name:<20} = {text}")
     return EXIT_OK
 
 

@@ -332,7 +332,7 @@ class SweepSummary(PlotData):
     std_final_dist: np.ndarray
     mean_final_objective: np.ndarray
     trials_ok: np.ndarray
-    evaluation_counts: np.ndarray  # summed over all trials
+    evaluation_counts: np.ndarray  # all trials' steps times M * d
     trials: int
     max_iterations: int
 
@@ -427,36 +427,23 @@ def emit_csv(summary: SweepSummary, path) -> None:
 
 def _read_columns(path: Path, what: str, columns: dict) -> np.ndarray:
     """The named ``columns`` (name -> type) of a CSV file as one structured
-    array. A file that cannot be read, a missing column or a value that does
-    not parse as its column's type is a ConfigError that names the file.
-
-    ``np.loadtxt`` parses the open file as it stands. A file it does not
-    take (a whitespace-only line, no rows, a bad byte or value) is read
-    again as the list of its non-blank lines, which gives the result or the
-    error."""
-    dtype = list(columns.items())
-
-    def parse(lines, header: list[str]) -> np.ndarray:
-        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1,
-                          usecols=[header.index(name) for name in columns])
-
-    with contextlib.suppress(OSError, ValueError, UserWarning), open(path) as fh, \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # np.loadtxt warns on no data
-        return parse(fh, fh.readline().rstrip("\n").split(","))
+    array, parsed from its non-blank lines by one ``np.loadtxt`` call. A file
+    that cannot be read, a missing column or a value that does not parse as
+    its column's type is a ConfigError that names the file."""
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
-            rows = [line for line in fh.read().splitlines() if line.strip()]
+            rows = [line for line in fh if not line.isspace()]
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
     missing = [name for name in columns if name not in header]
     if missing:
         raise ConfigError(f"malformed {what} {path}: missing column(s) {missing}")
     if not rows:  # np.loadtxt warns on no data
-        return np.empty(0, dtype=dtype)
+        return np.empty(0, dtype=list(columns.items()))
     try:
-        return parse(rows, header)
+        return np.loadtxt(rows, delimiter=",", dtype=list(columns.items()), ndmin=1,
+                          usecols=[header.index(name) for name in columns])
     except ValueError as e:
         raise ConfigError(f"malformed {what} {path}: {e}") from e
 
@@ -534,12 +521,13 @@ def run_experiment(
             write_trace_csv(grid_records, _trace_path(out_path, g))
         ok = [rec for rec in grid_records if rec.status == "ok"]
         ok_counts[g] = len(ok)
-        eval_counts[g] = sum(rec.evaluation_count for rec in grid_records)
+        eval_counts[g] = (sum(rec.iterations_run for rec in grid_records)
+                          * config.quadrature_order * config.dimension)
         if not ok:
             for field_means in means.values():
                 field_means.append(None)
             continue
-        finals = np.array([rec.final_distance for rec in ok])
+        finals = np.array([rec.distances[-1] for rec in ok])
         mean_final[g] = finals.mean()
         std_final[g] = finals.std()
         mean_obj[g] = np.mean([rec.objective_values[-1] for rec in ok])

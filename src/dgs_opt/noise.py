@@ -32,8 +32,8 @@ class PeriodicNoise:
                              f"got {self.alpha} and {self.amplitude}")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray | float:
-        total = np.add.reduce(np.sin(_TWO_PI * self.alpha * np.asarray(x, dtype=float)), -1)
-        return total if self.amplitude == 1.0 else self.amplitude * total  # 1.0 * v is v
+        return self.amplitude * np.add.reduce(
+            np.sin(_TWO_PI * self.alpha * np.asarray(x, dtype=float)), -1)
 
     def sine_sum(self, d: int) -> tuple[np.ndarray, float]:
         """(alpha, weight) in d dimensions: eps(x) = weight * sum_ij sin(2 pi alpha_ij x_i)."""

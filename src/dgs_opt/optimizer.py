@@ -9,14 +9,13 @@ import numpy as np
 
 from .quadrature import GHRule
 from .smoothing import (SIGMA_FLOOR, DirectionBasis, EvaluationError, Objective,
-                        _gh_gradient, _gh_nodes)
+                        _block_size, _gh_gradient, _gh_nodes)
 # unused by run, but perfbench/tracing.py patches optimizer.dgs_gradient by name
 from .smoothing import dgs_gradient  # noqa: F401
 from .theory import ConvexityConstants, diminishing_rate
 
 # Iterates beyond this norm abort the run before NaN cascades set in.
 DIVERGENCE_NORM = 1e12
-_BLOCK_BYTES = 1 << 16  # bytes of one block's build; a radius takes at most d M (d + d J) floats
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class TrialRecord:
     Row t holds the iterate before step t; the final row is the last iterate.
     ``cosine_similarities`` compares the DGS estimate at x_t with the true
     gradient (NaN when either is unavailable, including the final row).
-    ``evaluation_count`` counts estimator evaluations only: M * d per step.
+    Each of the ``iterations_run`` steps made M * d estimator evaluations.
     """
 
     iterates: np.ndarray
@@ -99,13 +98,8 @@ class TrialRecord:
     objective_values: np.ndarray
     cosine_similarities: np.ndarray
     sigmas: np.ndarray
-    evaluation_count: int
     iterations_run: int
     status: str  # "ok" | "diverged"
-
-    @property
-    def final_distance(self) -> float:
-        return float(self.distances[-1])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,7 +127,7 @@ def run(config: RunConfig) -> TrialRecord:
     x = np.array(config.initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
         raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
-    size = _BLOCK_BYTES // (8 * d * rule.order * (d + np.size(f.sines[1] if f.sines else []))) or 1
+    size = _block_size(columns, rule, f.sines)
 
     iterates = [x]
     estimates: list[np.ndarray] = []
@@ -188,7 +182,6 @@ def run(config: RunConfig) -> TrialRecord:
         objective_values=np.asarray(f.evaluate(iterates), dtype=float),
         cosine_similarities=cosines,
         sigmas=np.array(sigmas[:len(iterates)]),
-        evaluation_count=t * rule.order * d,
         iterations_run=t,
         status=status,
     )

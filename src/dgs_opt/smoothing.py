@@ -22,6 +22,7 @@ except ImportError:  # numpy < 2
 _SQRT2, _SQRT_PI = math.sqrt(2.0), math.sqrt(math.pi)  # floats: no numpy scalar per radius
 _TWO_PI = 2.0 * math.pi
 _ZERO = np.zeros(())  # adds +0.0 in fewer steps than the Python float 0.0
+_BLOCK_BYTES = 1 << 16  # the most one nodes_at call of a run builds (see _block_size)
 
 # The smallest radius an estimate is made at: below it estimates only amplify
 # rounding noise, and far below it the factor sqrt(2) / (sqrt(pi) sigma) overflows.
@@ -155,6 +156,13 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
                 for o, sigma, table in zip(offsets.reshape(len(radii), -1, d), radii, tables)]
 
     return nodes_at
+
+
+def _block_size(columns: np.ndarray, rule: GHRule, sines=None) -> int:
+    """Radii per nodes_at call of _gh_nodes(columns, rule, sines) within _BLOCK_BYTES, at
+    least 1: a radius's offsets and sine intermediates take at most d M (d + d J) floats."""
+    d, j = (len(columns), 0) if sines is None else np.shape(sines[1])
+    return _BLOCK_BYTES // (8 * d * rule.order * (d + d * j)) or 1
 
 
 def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:

@@ -38,40 +38,36 @@ def periodic_noise_grad_bound(
     sqrt(pi/a)/2 for n = 1, log(1 + 1/a)/2 for n = 2 and 1/(2a) for n >= 3.
     A unit sine (gamma_1 = 2 pi alpha) reaches 2 pi alpha sqrt(d) exp(-a),
     (pi/4) times the leading term.
+
+    Squares are taken as products, which overflow to inf and underflow to 0
+    without an error, so the bound takes its limits: 0 where exp(-a)
+    underflows, and inf where a underflows (as 1/a would overflow).
     """
     if not (gamma_n > 0 and alpha > 0 and sigma > 0 and d >= 1 and n >= 1):
         raise ValueError("all parameters must be positive")
-    a = 2.0 * math.pi**2 * alpha**2 * sigma**2
+    a = 2.0 * math.pi**2 * (alpha * sigma) * (alpha * sigma)
+    inverse = 1.0 / a if a else math.inf
     if n == 1:
-        tail = 1.0 + 0.5 * math.sqrt(math.pi / a)
+        tail = 1.0 + 0.5 * math.sqrt(math.pi * inverse)
     elif n == 2:
-        tail = 1.0 + 0.5 * math.log1p(1.0 / a)
+        tail = 1.0 + 0.5 * math.log1p(inverse)
     else:
-        tail = 1.0 + 0.5 / a
-    return (
-        4.0
-        / math.pi
-        * gamma_n
-        * math.sqrt(d)
-        * (2.0 * math.pi * alpha) ** (1 - n)
-        * math.exp(-a)
-        * tail
-    )
+        tail = 1.0 + 0.5 * inverse
+    return (4.0 / math.pi * gamma_n * math.sqrt(d) * (2.0 * math.pi * alpha) ** (1 - n)
+            * math.exp(-a) * tail)
 
 
 def bandlimited_noise_grad_bound(
     gamma: float, alpha0: float, sigma: float, d: int
 ) -> float:
     """Norm bound for noise whose cross-section spectra vanish below alpha0
-    and are bounded by gamma."""
+    and are bounded by gamma: gamma sqrt(d) exp(-2 pi^2 alpha0^2 sigma^2) /
+    (pi sigma^2), 0 where the exp underflows and inf where 1/sigma^2 overflows
+    (squares as products and divisions by each factor raise no error)."""
     if not (gamma > 0 and alpha0 > 0 and sigma > 0 and d >= 1):
         raise ValueError("all parameters must be positive")
-    return (
-        gamma
-        * math.sqrt(d)
-        / (math.pi * sigma**2)
-        * math.exp(-2.0 * math.pi**2 * alpha0**2 * sigma**2)
-    )
+    decay = math.exp(-2.0 * math.pi**2 * (alpha0 * sigma) * (alpha0 * sigma))
+    return gamma * math.sqrt(d) * decay / math.pi / sigma / sigma
 
 
 def diminishing_noise_grad_bound(
@@ -163,21 +159,17 @@ def delta_sigma_periodic(
     The noise term is 3 B^2, B = periodic_noise_grad_bound(gamma1, 1, ...),
     bounded with (1 + x)^2 <= 2 (1 + x^2). The constant of the quadrature
     term is not determined by theory and is taken as 1 (gh_error_term); use
-    this function for shape comparisons, not absolute thresholds.
+    this function for shape comparisons, not absolute thresholds. As in
+    periodic_noise_grad_bound, the noise term is 0 where its exp underflows
+    and inf where (alpha sigma)^2 underflows.
     """
     L, tau = constants.L, constants.tau
     lead = 4.0 / tau**2 + 1.0 / (4.0 * L * tau)
-    noise = (
-        96.0
-        / math.pi**2
-        * gamma1**2
-        * d
-        * math.exp(-4.0 * math.pi**2 * alpha**2 * sigma**2)
-        * (1.0 + 1.0 / (8.0 * math.pi * alpha**2 * sigma**2))
-    )
-    return lead * (
-        gh_error_term(d, sigma, order) + 48.0 * L**2 * d * sigma**2 + noise
-    )
+    square = (alpha * sigma) * (alpha * sigma)
+    correction = 1.0 / (8.0 * math.pi * square) if square else math.inf
+    noise = (96.0 / math.pi**2 * gamma1**2 * d * math.exp(-4.0 * math.pi**2 * square)
+             * (1.0 + correction))
+    return lead * (gh_error_term(d, sigma, order) + 48.0 * L**2 * d * sigma * sigma + noise)
 
 
 def contraction_rate(constants: ConvexityConstants, lam: float) -> float:

@@ -424,7 +424,7 @@ def _trace_records(draw):
     return [TrialRecord(iterates=np.zeros((n, 1)), distances=column(n),
                         objective_values=column(n), cosine_similarities=column(n),
                         sigmas=column(n) if kind == "own" else shared[:n],
-                        evaluation_count=0, iterations_run=n, status="ok")
+                        iterations_run=n, status="ok")
             for n in lengths]
 
 
@@ -1001,6 +1001,25 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("model,args,names", [
+        ("bandlimited", ["--sigma", "1e-170"], "noise_gradient_bound"),
+        ("periodic", ["--sigma", "1e-170"], "noise_gradient_bound, delta_sigma"),
+    ], ids=["bandlimited", "periodic"])
+    def test_bounds_that_diverge_are_one_error_line_naming_the_options(self, model, args,
+                                                                         names, capsys):
+        # printed "bad bounds arguments: float division by zero"
+        assert cli_main(["bounds", "--model", model, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: bad bounds arguments: {names} = inf at --sigma 1e-170 and --alpha 1.0"]
+        assert captured.out == ""
+
+    def test_bounds_at_a_huge_alpha_print_the_limits(self, capsys):
+        # alpha**2 raised OverflowError
+        assert cli_main(["bounds", "--model", "periodic", "--alpha", "1e200"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "noise_gradient_bound = 0", "delta_sigma          = 255"]
 
     # every float option of `dgs-opt bounds`, with a model that reads it
     _BOUNDS_FLOATS = {"--sigma": "periodic", "--L": "periodic", "--tau": "periodic",

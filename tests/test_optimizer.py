@@ -18,16 +18,18 @@ from dgs_opt import (
     dgs_gradient,
     diminishing_rate,
     identity_basis,
+    parse_config,
     power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
     run,
+    run_experiment,
     sample_bandlimited,
     sigma_at,
     theorem3_schedule,
 )
 from dgs_opt.optimizer import DIVERGENCE_NORM, SIGMA_FLOOR
-from dgs_opt.smoothing import _gh_nodes
+from dgs_opt.smoothing import _block_size, _gh_nodes
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
@@ -192,7 +194,7 @@ class TestRun:
     def test_converges_on_quadratic(self):
         rec = run(make_run_config(quadratic_objective(5), max_iterations=500, step_size=0.1))
         assert rec.status == "ok"
-        assert rec.final_distance < 1e-8
+        assert rec.distances[-1] < 1e-8
         assert np.all(np.diff(rec.distances) <= 1e-12)
 
     def test_cosine_similarity_near_one_on_quadratic(self):
@@ -200,8 +202,9 @@ class TestRun:
         np.testing.assert_allclose(rec.cosine_similarities[:-1], 1.0, atol=1e-9)
 
     def test_evaluation_count(self):
-        rec = run(make_run_config(quadratic_objective(3), max_iterations=20))
-        assert rec.evaluation_count == 20 * 5 * 3  # steps * order * d
+        summary = run_experiment(parse_config(_sweep_doc(sigma_grid=[0.5, 1.0])))
+        assert summary.evaluation_counts.tolist() == [3 * 20 * 5 * 3] * 2  # trials*steps*M*d
+        assert summary.evaluation_counts.dtype == np.int64
 
     def test_divergence_detected(self):
         rec = run(
@@ -301,8 +304,6 @@ def test_stop_semantics(stop):
     if stop == "sigma-floor":
         assert rec.sigmas[-1] < SIGMA_FLOOR
     assert np.isnan(rec.cosine_similarities[-1])
-    d = cfg.objective.dimension
-    assert rec.evaluation_count == rec.iterations_run * cfg.rule.order * d
     assert np.all(np.isfinite(rec.iterates))
     minimizer = cfg.objective.minimizer
     if minimizer is None:
@@ -311,6 +312,45 @@ def test_stop_semantics(stop):
         want = [np.linalg.norm(x - minimizer) for x in rec.iterates]
         np.testing.assert_array_equal(rec.distances, want)
     _assert_per_step_columns(cfg, rec)
+
+
+def _sweep_doc(**overrides) -> dict:
+    """A sweep of quadratic d = 3 trials, 20 steps at a constant radius."""
+    return {"experiment": "custom", "noise": {"kind": "none"}, "step_size": 0.01,
+            "objective": {"kind": "quadratic", "dimension": 3, "box": [-1.0, 1.0]},
+            "sigma_grid": [0.5], "trials": 3, "max_iterations": 20,
+            "schedule": {"kind": "constant"}, "quadrature_order": 5, "basis": "identity",
+            "master_seed": 0, **overrides}
+
+
+# _STOPS as sweeps, whose every trial stops the same way
+_SWEEP_STOPS = {
+    "full-length": {},
+    "sigma-floor": dict(sigma_grid=[1e-13], max_iterations=1000, schedule={
+        "kind": "two-phase-decay", "switch_iteration": 0, "contraction": 0.5}),
+    "norm-blowup": dict(step_size=10.0, max_iterations=200),
+    "nonfinite-eval": dict(step_size=0.1, max_iterations=200),  # with _concave_capped
+}
+
+
+@pytest.mark.parametrize("stop", list(_SWEEP_STOPS))
+def test_evaluation_counts_follow_the_steps_taken(stop, monkeypatch):
+    # a grid point's evaluation count is M * d per step its trials took: the
+    # step whose evaluation was not finite took none, a step that blew up
+    # was taken
+    if stop == "nonfinite-eval":
+        monkeypatch.setattr(dgs_opt.harness, "build_objective",
+                            lambda config: _concave_capped(config.dimension))
+    config = parse_config(_sweep_doc(**_SWEEP_STOPS[stop]))
+    records = [dgs_opt.harness.run_trial(config, 0, t) for t in range(config.trials)]
+    steps = [rec.iterations_run for rec in records]
+    # a row per step counted and one for the last iterate, but none for a blown-up step
+    extra_rows = 0 if stop == "norm-blowup" else 1
+    assert [len(rec.iterates) - n for rec, n in zip(records, steps)] == [extra_rows] * 3
+    diverged = stop in ("norm-blowup", "nonfinite-eval")
+    assert {rec.status for rec in records} == {"diverged" if diverged else "ok"}
+    assert (min(steps) == max(steps) == 20) == (stop == "full-length")
+    assert run_experiment(config).evaluation_counts.tolist() == [sum(steps) * 5 * 3]
 
 
 def _assert_per_step_columns(cfg, rec):
@@ -514,6 +554,14 @@ def test_radius_underflowing_below_the_floor_stops_without_a_warning():
     assert (steps, status) == (2, "ok")
 
 
+def test_a_block_holds_64_kib_of_radii_at_each_workload_shape():
+    # theorem3-cli's (no sine sum), periodic-m5's and bandlimited-m40's, at d = 5
+    eye, periodic = np.eye(5), power_sum_sqrt_objective(5, PeriodicNoise(1.0)).sines
+    bandlimited = power_sum_sqrt_objective(5, sample_bandlimited(5, 1.0, 20, seed=0)).sines
+    assert [_block_size(eye, build_gh_rule(5)), _block_size(eye, build_gh_rule(5), periodic),
+            _block_size(eye, build_gh_rule(40), bandlimited)] == [65, 32, 1]
+
+
 def _changes(radii, last=None):
     """The radii that differ from the one before (the first included)."""
     return [s for i, s in enumerate(radii) if (radii[i - 1] if i else last) != s]
@@ -558,7 +606,7 @@ def test_each_stepped_radius_is_built_once_a_block_at_a_time(case, max_iteration
         overrides["max_iterations"] = max_iterations
     cfg = make_run_config(**overrides)
     rec = run(cfg)
-    block = dgs_opt.optimizer._BLOCK_BYTES // (8 * 5 * 5 * 7)
+    block = _block_size(cfg.basis.columns, cfg.rule)
     stepped = rec.sigmas[:rec.iterations_run].tolist()
     radii_read = [sigma_at(cfg.schedule, t) for t in read]
     assert min(radii_read[:-1], default=SIGMA_FLOOR) >= SIGMA_FLOOR

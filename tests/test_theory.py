@@ -100,6 +100,29 @@ class TestNoiseGradientBounds:
         with pytest.raises(ValueError):
             diminishing_noise_grad_bound(1.0, 1.0, -0.1, 5)
 
+    # (alpha sigma)^2 underflows at sigma = 1e-170, and alpha^2 overflowed at
+    # alpha = 1e200: each raised ZeroDivisionError or OverflowError
+    @pytest.mark.parametrize("bound,value", [
+        *[(lambda n=n: periodic_noise_grad_bound(1.0, n, 1.0, 1e-170, 5), math.inf)
+          for n in (1, 2, 3)],
+        (lambda: periodic_noise_grad_bound(1.0, 1, 1e-200, 1e-200, 5), math.inf),
+        (lambda: bandlimited_noise_grad_bound(1.0, 1.0, 1e-170, 5), math.inf),
+        (lambda: delta_sigma_periodic(LT, 1.0, 1.0, 1e-170, 5, 5), math.inf),
+        *[(lambda n=n: periodic_noise_grad_bound(1.0, n, 1e200, 0.5, 5), 0.0)
+          for n in (1, 2, 3)],
+        (lambda: bandlimited_noise_grad_bound(1.0, 1e200, 0.5, 5), 0.0),
+        (lambda: bandlimited_noise_grad_bound(1.0, 1e200, 1e-170, 5), 0.0),
+        # the noise term vanishes and the rest stays
+        (lambda: delta_sigma_periodic(LT, 1.0, 1e200, 0.5, 5, 5),
+         (4.0 / 4.0 + 1.0 / 16.0) * (gh_error_term(5, 0.5, 5) + 48.0 * 4.0 * 5 * 0.25)),
+        (lambda: diminishing_noise_grad_bound(1e-3, 1e-320, 1.0, 5), math.inf),
+    ], ids=[*(f"periodic-n{n}-tiny-sigma" for n in (1, 2, 3)), "periodic-tiny-alpha-sigma",
+            "bandlimited-tiny-sigma", "delta-tiny-sigma",
+            *(f"periodic-n{n}-huge-alpha" for n in (1, 2, 3)), "bandlimited-huge-alpha",
+            "bandlimited-huge-alpha-tiny-sigma", "delta-huge-alpha", "diminishing-tiny-sigma"])
+    def test_bounds_take_their_limits_at_extreme_valid_inputs(self, bound, value):
+        assert bound() == value
+
 
 class TestRecommendedSigma:
     def test_periodic_low_frequency_branch(self):

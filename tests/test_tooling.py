@@ -1,7 +1,8 @@
 """The project's tooling: its pytest settings, run on a scratch file, and
 what a cold `import dgs_opt` loads, each checked in a fresh interpreter; the
-test extra's packages, checked against the test files' imports; and the
-parsers of `tools/bench_record.py`, on canned output."""
+test extra's packages, checked against the test files' imports; the parsers
+of `tools/bench_record.py`, on canned output; and the summary of
+`tools/bench_pairs.py`, on fixed numbers."""
 import ast
 import importlib.util
 import json
@@ -184,6 +185,32 @@ def test_bench_record_prints_the_comparison_after_writing(tmp_path, monkeypatch,
         "end-to-end metrics and src/ lines, BENCH_19.json -> BENCH_20.json:",
         "  a                wall_s            0.5 -> 0.45 s (-10.0%)",
         "  src_lines 1886 -> 1869 (-17)"]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_gives_medians_quartiles_and_pairs_won():
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "trial_steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.01},
+               {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.05}]
+    before = [{"wall_s": w, "trial_steps_per_s": t, "ok_frac": 1.0}
+              for w, t in [(0.50, 100), (0.52, 98), (0.49, 101), (0.51, 99)]]
+    after = [{"wall_s": w, "trial_steps_per_s": t, "ok_frac": 1.0}
+             for w, t in [(0.48, 103), (0.53, 99), (0.47, 104), (0.50, 100)]]
+    summarize = _bench_pairs().summarize
+    assert summarize(before, after, metrics) == [
+        "wall_s            0.505 -> 0.49 s (-3.0%); q1-q3 0.4975-0.5125 (3.0%); won 3/4",
+        # a spread above the metric's bound cannot resolve the change
+        "trial_steps_per_s 99.5 -> 101.5 1/s (+2.0%); q1-q3 98.75-100.25 (1.5%, unresolved); "
+        "won 4/4",
+        "ok_frac           1 -> 1 ratio (+0.0%); q1-q3 1-1 (0.0%); won 0/4"]  # a tie is no win
+    assert summarize(before[:1], after[:1], metrics[:1]) == [
+        "wall_s            0.5 -> 0.48 s (-4.0%); q1-q3 0.5-0.5 (0.0%); won 1/1"]
 
 
 def _reference_check(*args, patch: str = "") -> subprocess.CompletedProcess:

@@ -1,0 +1,83 @@
+"""Alternated pairs of benchmark runs: a git revision against the working tree.
+
+    python3 tools/bench_pairs.py HEAD --workload theorem3-cli --pairs 10 --seconds 30 --seed 101
+
+Unpacks the revision with ``git archive <rev> | tar -x`` into a temporary
+directory, touching neither the working tree nor ``.git``. Pair i runs
+``perfbench/run.py --trace 0`` at seed ``--seed`` + i on both trees, the
+revision first in even pairs. Prints, per workload and end-to-end metric of
+BENCHMARK.json, the two medians, the revision's q1-q3 (its share of the median,
+"unresolved" above the metric's bound) and the pairs the working tree won.
+Exits 1 if a run failed or was not correct.
+"""
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import ROOT, read_run  # noqa: E402
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One trace 0 run of ``tree``'s benchmark, as bench_record.read_run gives it."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    return read_run(done.returncode, done.stdout, done.stderr)
+
+
+def summarize(before: list[dict], after: list[dict], metrics: list[dict]) -> list[str]:
+    """One line per metric of the pairs' values (name -> value per run)."""
+    lines = []
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        a, b = [run[name] for run in before], [run[name] for run in after]
+        median_a, median_b = statistics.median(a), statistics.median(b)
+        q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive") if len(a) > 1 else a * 3
+        spread = (q3 - q1) / abs(median_a) if median_a else 0.0
+        spread_text = f"{spread:.1%}" + (", unresolved" if spread > metric["bound"] else "")
+        change = f"{(median_b - median_a) / abs(median_a):+.1%}" if median_a else "-"
+        won = sum(y > x if higher else y < x for x, y in zip(a, b))
+        lines.append(f"{name:<17} {median_a:.6g} -> {median_b:.6g} {metric['unit']} ({change}); "
+                     f"q1-q3 {q1:.6g}-{q3:.6g} ({spread_text}); won {won}/{len(a)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare the working tree with")
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        trees = (Path(tmp), ROOT)
+        for workload in args.workload:
+            runs: dict = {tree: [] for tree in trees}
+            for i in range(args.pairs):
+                for tree in trees if i % 2 == 0 else trees[::-1]:
+                    runs[tree].append(run_side(tree, workload, args.seed + i, args.seconds))
+            results = [[run.get("result", {}) for run in side] for side in runs.values()]
+            ok = all(result.get("correct") for side in results for result in side)
+            failed |= not ok
+            print(f"{workload}: {args.rev} -> working tree, {args.pairs} pairs from seed "
+                  f"{args.seed}" + ("" if ok else ": a run failed or was not correct"))
+            if ok:
+                values = [[{name: metric["value"] for name, metric in result["metrics"].items()}
+                           for result in side] for side in results]
+                print("\n".join(f"  {line}" for line in summarize(*values, metrics)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
