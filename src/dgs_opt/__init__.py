@@ -23,7 +23,7 @@ from .noise import (
     quadratic_objective,
     sample_bandlimited,
 )
-from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, sigma_at, theorem3_schedule
+from .optimizer import SigmaSchedule, TrialRecord, run, sigma_at, theorem3_schedule
 from .plotting import emit_plot, render_plot
 from .quadrature import GHRule, build_gh_rule
 from .smoothing import (
@@ -50,10 +50,9 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandlimitedNoise", "ConfigError", "ConvexityConstants",
-    "DiminishingNoise", "DirectionBasis", "EvaluationError",
-    "ExperimentConfig", "GHRule", "Objective", "OutputError", "PeriodicNoise",
-    "RunConfig", "SigmaSchedule", "SweepSummary", "TrialRecord",
+    "BandlimitedNoise", "ConfigError", "ConvexityConstants", "DiminishingNoise",
+    "DirectionBasis", "EvaluationError", "ExperimentConfig", "GHRule", "Objective",
+    "OutputError", "PeriodicNoise", "SigmaSchedule", "SweepSummary", "TrialRecord",
     "bandlimited_noise_grad_bound", "build_gh_rule",
     "closed_form_smoothed_sine_derivative", "contraction_rate",
     "delta_sigma_periodic", "dgs_gradient", "diminishing_noise_grad_bound",

@@ -96,23 +96,27 @@ def _cmd_bounds(args) -> int:
                         constants, args.gamma, args.alpha, args.sigma, args.d, args.order),
                     "recommended_sigma": theory.recommend_sigma_periodic(
                         constants, args.gamma, args.alpha)}
+            reads = ("gamma n alpha sigma d", "L tau gamma alpha sigma d order")
         elif args.model == "bandlimited":
             rows = {"noise_gradient_bound": theory.bandlimited_noise_grad_bound(
                         args.gamma, args.alpha, args.sigma, args.d),
                     "recommended_sigma": theory.recommend_sigma_bandlimited(
                         constants, args.gamma, args.alpha)}
+            reads = ("gamma alpha sigma d",)
         else:  # diminishing
             rate = theory.diminishing_rate(constants, args.beta, args.d)
             rows = {"noise_gradient_bound": theory.diminishing_noise_grad_bound(
                         args.beta, args.sigma, args.dist, args.d),
                     "per_step_rate": rate, "beta_condition_holds": rate < 1.0}
+            reads = ("beta sigma dist d", "L tau beta d")
     except (ArithmeticError, ValueError) as e:  # theory's range checks, overflow
         raise ConfigError(f"bad bounds arguments: {e}") from e
-    infinite = [name for name, value in rows.items() if value == math.inf]
-    if infinite:  # a bound's limit as sigma, or alpha sigma, goes to 0
-        where = "" if args.model == "diminishing" else f" and --alpha {args.alpha!r}"
-        raise ConfigError(f"bad bounds arguments: {', '.join(infinite)} = inf "
-                          f"at --sigma {args.sigma!r}{where}")
+    read = [option for (_, value), options in zip(rows.items(), reads) if value == math.inf
+            for option in options.split()]  # reads: what each row but the last reads
+    if read:  # a bound beyond the float range: name its rows and every option they read
+        infinite = [name for name, value in rows.items() if value == math.inf]
+        raise ConfigError(f"bad bounds arguments: {', '.join(infinite)} = inf at " + ", ".join(
+            f"--{o} {v!r}" for o, v in vars(args).items() if o in read))
     for name, value in rows.items():
         text = f"{value[0]:.10g} ({value[1]})" if isinstance(value, tuple) else (
             value if isinstance(value, bool) else f"{value:.10g}")

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import noise as noise_mod
-from .optimizer import RunConfig, SigmaSchedule, TrialRecord, run, theorem3_schedule
+from .optimizer import SigmaSchedule, TrialRecord, run, theorem3_schedule
 from .quadrature import build_gh_rule
 from .smoothing import Objective, identity_basis, random_orthonormal_basis
 
@@ -297,15 +297,15 @@ def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> Tr
     """One seeded run at one sigma grid point. Safe to call from workers."""
     seed = mix_seed(config.master_seed, grid_index, trial_index)
     sigma0 = config.sigma_values[grid_index]
-    return run(RunConfig(
+    return run(
         objective=build_objective(config),
+        initial_point=np.random.default_rng(seed).uniform(*config.box, size=config.dimension),
+        schedule=_SCHEDULE_KINDS[config.schedule_kind].build(config, sigma0),
         rule=build_gh_rule(config.quadrature_order),
         basis=_BASES[config.basis](config.dimension, seed),
         step_size=config.step_size,
         max_iterations=config.max_iterations,
-        schedule=_SCHEDULE_KINDS[config.schedule_kind].build(config, sigma0),
-        initial_point=np.random.default_rng(seed).uniform(*config.box, size=config.dimension),
-    ))
+    )
 
 
 @dataclass(eq=False)

@@ -65,24 +65,6 @@ def sigma_at(schedule: SigmaSchedule, t: int) -> float:
     return schedule.sigma0 * schedule.contraction ** (t - schedule.switch_iteration)
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
-    objective: Objective
-    rule: GHRule
-    basis: DirectionBasis
-    step_size: float
-    max_iterations: int
-    schedule: SigmaSchedule
-    initial_point: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
-
-
 @dataclass(eq=False)
 class TrialRecord:
     """Per-iteration trace of one seeded run.
@@ -105,13 +87,18 @@ class TrialRecord:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of a and b. Each row gets the bits of np.dot on
     it, and so of np.linalg.norm, which einsum and norm(axis=1) do not."""
-    return (a[:, None, :] @ b[:, :, None]).ravel()
+    with np.errstate(over="ignore"):  # inf beyond the float range, as np.linalg.norm gives
+        return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-def run(config: RunConfig) -> TrialRecord:
-    """Iterate the DGS descent scheme from the initial point, recording each step.
+def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule,
+        rule: GHRule, basis: DirectionBasis, step_size: float,
+        max_iterations: int) -> TrialRecord:
+    """Iterate the DGS descent scheme from initial_point at the radii of
+    schedule. A step_size not positive and finite, or a max_iterations not an
+    integer >= 1 (a bool is not), raises ValueError before any evaluation.
 
-    Deterministic given the config. Stops at max_iterations, when the
+    Deterministic given its arguments. Stops at max_iterations, when the
     scheduled radius underflows SIGMA_FLOOR, or with a diverged status when
     an evaluation is not finite or an iterate blows up; the returned record
     always ends at the last finite iterate. At a new radius with none built
@@ -121,10 +108,13 @@ def run(config: RunConfig) -> TrialRecord:
     estimate is _gh_gradient's, as in dgs_gradient. The objective and cosine
     columns are computed after the loop, from the stacked iterates.
     """
-    f, rule, columns = config.objective, config.rule, config.basis.columns
+    f, columns, last = objective, basis.columns, max_iterations
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    if isinstance(last, bool) or not isinstance(last, (int, np.integer)) or last < 1:
+        raise ValueError(f"max_iterations must be an integer >= 1, got {last!r}")
     d, nodes_at = f.dimension, _gh_nodes(columns, rule, f.sines)
-    step_size, schedule, last = config.step_size, config.schedule, config.max_iterations
-    x = np.array(config.initial_point, dtype=float)
+    x = np.array(initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
         raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
     size = _block_size(columns, rule, f.sines)

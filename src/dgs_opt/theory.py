@@ -7,6 +7,16 @@ import math
 from dataclasses import dataclass
 
 
+def _exp(log_value: float) -> float:
+    """e^log_value, inf where that overflows (math.exp would raise)."""
+    return math.exp(log_value) if log_value <= 709.782712893384 else math.inf  # log(max float)
+
+
+def _log1p_exp(z: float) -> float:
+    """log(1 + e^z), without overflow."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
 @dataclass(frozen=True)
 class ConvexityConstants:
     """Gradient Lipschitz constant L and strong-convexity parameter tau."""
@@ -22,9 +32,7 @@ class ConvexityConstants:
             raise ValueError(f"tau ({self.tau}) cannot exceed L ({self.L})")
 
 
-def periodic_noise_grad_bound(
-    gamma_n: float, n: int, alpha: float, sigma: float, d: int
-) -> float:
+def periodic_noise_grad_bound(gamma_n: float, n: int, alpha: float, sigma: float, d: int) -> float:
     """Norm bound on the DGS gradient of a periodic noise whose cross-sections
     have period 1/alpha and n-th derivative bounded by gamma_n.
 
@@ -37,47 +45,41 @@ def periodic_noise_grad_bound(
     and the k >= 2 tail is bounded by an integral: exp(-a) times
     sqrt(pi/a)/2 for n = 1, log(1 + 1/a)/2 for n = 2 and 1/(2a) for n >= 3.
     A unit sine (gamma_1 = 2 pi alpha) reaches 2 pi alpha sqrt(d) exp(-a),
-    (pi/4) times the leading term.
-
-    Squares are taken as products, which overflow to inf and underflow to 0
-    without an error, so the bound takes its limits: 0 where exp(-a)
-    underflows, and inf where a underflows (as 1/a would overflow).
+    (pi/4) times the leading term. The product is taken in log space: no
+    factor overflows or underflows where the bound is finite and nonzero.
     """
     if not (gamma_n > 0 and alpha > 0 and sigma > 0 and d >= 1 and n >= 1):
         raise ValueError("all parameters must be positive")
-    a = 2.0 * math.pi**2 * (alpha * sigma) * (alpha * sigma)
-    inverse = 1.0 / a if a else math.inf
-    if n == 1:
-        tail = 1.0 + 0.5 * math.sqrt(math.pi * inverse)
-    elif n == 2:
-        tail = 1.0 + 0.5 * math.log1p(inverse)
-    else:
-        tail = 1.0 + 0.5 * inverse
-    return (4.0 / math.pi * gamma_n * math.sqrt(d) * (2.0 * math.pi * alpha) ** (1 - n)
-            * math.exp(-a) * tail)
+    a = 2.0 * math.pi**2 * (alpha * sigma) * (alpha * sigma)  # inf only where exp(-a) is 0
+    log_a = math.log(2.0 * math.pi**2) + 2.0 * (math.log(alpha) + math.log(sigma))
+    if n == 2:  # log(1 + log1p(1/a)/2)
+        log_tail = math.log1p(0.5 * _log1p_exp(-log_a))
+    else:  # log(1 + sqrt(pi/a)/2) for n = 1, log(1 + 1/(2a)) for n >= 3
+        log_inverse = 0.5 * (log_a - math.log(math.pi)) if n == 1 else log_a
+        log_tail = _log1p_exp(-math.log(2.0) - log_inverse)
+    return _exp(math.log(4.0 / math.pi) + math.log(gamma_n) + 0.5 * math.log(d) - a + log_tail
+                + (1 - n) * (math.log(2.0 * math.pi) + math.log(alpha)))
 
 
-def bandlimited_noise_grad_bound(
-    gamma: float, alpha0: float, sigma: float, d: int
-) -> float:
+def bandlimited_noise_grad_bound(gamma: float, alpha0: float, sigma: float, d: int) -> float:
     """Norm bound for noise whose cross-section spectra vanish below alpha0
     and are bounded by gamma: gamma sqrt(d) exp(-2 pi^2 alpha0^2 sigma^2) /
-    (pi sigma^2), 0 where the exp underflows and inf where 1/sigma^2 overflows
-    (squares as products and divisions by each factor raise no error)."""
+    (pi sigma^2), taken in log space as periodic_noise_grad_bound is."""
     if not (gamma > 0 and alpha0 > 0 and sigma > 0 and d >= 1):
         raise ValueError("all parameters must be positive")
-    decay = math.exp(-2.0 * math.pi**2 * (alpha0 * sigma) * (alpha0 * sigma))
-    return gamma * math.sqrt(d) * decay / math.pi / sigma / sigma
+    a = 2.0 * math.pi**2 * (alpha0 * sigma) * (alpha0 * sigma)
+    return _exp(math.log(gamma) + 0.5 * math.log(d) - a - math.log(math.pi) - 2.0 * math.log(sigma))
 
 
-def diminishing_noise_grad_bound(
-    beta: float, sigma: float, dist: float, d: int
-) -> float:
+def diminishing_noise_grad_bound(beta: float, sigma: float, dist: float, d: int) -> float:
     """Norm bound for noise enveloped by beta * ||x - x*||^2, at distance
-    dist from the minimizer."""
+    dist from the minimizer: beta sqrt(2 d / pi) (2 sigma + dist^2 / sigma),
+    each term taken in log space."""
     if not (beta > 0 and sigma > 0 and d >= 1 and dist >= 0):
         raise ValueError("beta, sigma must be positive; dist nonnegative")
-    return beta * math.sqrt(2.0 * d / math.pi) * (2.0 * sigma + dist**2 / sigma)
+    log_scale = math.log(beta) + 0.5 * math.log(2.0 * d / math.pi) + math.log(sigma)
+    far = _exp(log_scale + 2.0 * (math.log(dist) - math.log(sigma))) if dist else 0.0
+    return _exp(log_scale + math.log(2.0)) + far
 
 
 def recommend_sigma_periodic(
@@ -159,17 +161,19 @@ def delta_sigma_periodic(
     The noise term is 3 B^2, B = periodic_noise_grad_bound(gamma1, 1, ...),
     bounded with (1 + x)^2 <= 2 (1 + x^2). The constant of the quadrature
     term is not determined by theory and is taken as 1 (gh_error_term); use
-    this function for shape comparisons, not absolute thresholds. As in
-    periodic_noise_grad_bound, the noise term is 0 where its exp underflows
-    and inf where (alpha sigma)^2 underflows.
+    this function for shape comparisons, not absolute thresholds. Each term
+    times the lead 4/tau^2 + 1/(4 L tau) is taken in log space, as in
+    periodic_noise_grad_bound.
     """
     L, tau = constants.L, constants.tau
-    lead = 4.0 / tau**2 + 1.0 / (4.0 * L * tau)
-    square = (alpha * sigma) * (alpha * sigma)
-    correction = 1.0 / (8.0 * math.pi * square) if square else math.inf
-    noise = (96.0 / math.pi**2 * gamma1**2 * d * math.exp(-4.0 * math.pi**2 * square)
-             * (1.0 + correction))
-    return lead * (gh_error_term(d, sigma, order) + 48.0 * L**2 * d * sigma * sigma + noise)
+    log_lead = math.log(4.0 + 0.25 * tau / L) - 2.0 * math.log(tau)
+    gh = gh_error_term(d, sigma, order)
+    logs = (math.log(gh) if gh else -math.inf,
+            math.log(48.0 * d) + 2.0 * (math.log(L) + math.log(sigma)),
+            math.log(96.0 / math.pi**2 * d) + 2.0 * math.log(gamma1)
+            - 4.0 * math.pi**2 * (alpha * sigma) * (alpha * sigma)
+            + _log1p_exp(-math.log(8.0 * math.pi) - 2.0 * (math.log(alpha) + math.log(sigma))))
+    return sum(_exp(log_lead + term) for term in logs)
 
 
 def contraction_rate(constants: ConvexityConstants, lam: float) -> float:
@@ -191,6 +195,6 @@ def diminishing_rate(constants: ConvexityConstants, beta: float, d: int) -> floa
     beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau)."""
     L, tau = constants.L, constants.tau
     return (1.0 - tau / (32.0 * L)) + (
-        6.0 / (tau * L) + 3.0 / (8.0 * L**2)
-    ) * d * beta * math.sqrt(2.0 * L**2 * math.pi + beta**2) / math.pi
+        6.0 / (tau * L) + 3.0 / (8.0 * L * L)
+    ) * d * beta * math.sqrt(2.0 * L * L * math.pi + beta * beta) / math.pi
 

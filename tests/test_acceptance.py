@@ -247,11 +247,8 @@ def test_criterion_5_no_noise_contraction():
     f = dg.quadratic_objective(D)  # L = tau = 2
     rate_bound = 1.0 - 2.0 / (32.0 * 2.0)  # 0.96875
     lam = 1.0 / (16.0 * 2.0)
-    rec = dg.run(dg.RunConfig(
-        objective=f, rule=dg.build_gh_rule(5), basis=dg.identity_basis(D), step_size=lam,
-        max_iterations=200, schedule=dg.SigmaSchedule(0.5),
-        initial_point=np.random.default_rng(3).uniform(-5, 5, D),
-    ))
+    rec = dg.run(f, np.random.default_rng(3).uniform(-5, 5, D), dg.SigmaSchedule(0.5),
+                 dg.build_gh_rule(5), dg.identity_basis(D), step_size=lam, max_iterations=200)
     worst = 0.0
     for x, x_next in zip(rec.iterates, rec.iterates[1:]):
         ratio = np.dot(x_next, x_next) / np.dot(x, x)

@@ -21,8 +21,6 @@ from dgs_opt import (
     ConfigError,
     ExperimentConfig,
     OutputError,
-    RunConfig,
-    SigmaSchedule,
     TrialRecord,
     build_gh_rule,
     emit_csv,
@@ -231,12 +229,6 @@ def test_any_json_field_value_parses_or_is_config_error(target, value):
     assert isinstance(config, ExperimentConfig)
 
 
-def _run_config():
-    return RunConfig(objective=harness.build_objective(parse_config(base_doc())),
-                     rule=build_gh_rule(5), basis=identity_basis(3), step_size=0.1,
-                     max_iterations=1, schedule=SigmaSchedule(1.0), initial_point=np.zeros(3))
-
-
 # Every public dataclass with an array field, each from a factory.
 _ARRAY_DATACLASSES = {
     "GHRule": lambda: build_gh_rule(5),
@@ -246,7 +238,6 @@ _ARRAY_DATACLASSES = {
     "PlotData": lambda: PlotData((1.0,), np.zeros(1), [np.zeros(2)], [np.zeros(2)]),
     "SweepSummary": lambda: run_experiment(parse_config(base_doc(trials=1, max_iterations=3))),
     "Objective": lambda: harness.build_objective(parse_config(base_doc())),
-    "RunConfig": _run_config,
 }
 
 
@@ -988,7 +979,7 @@ class TestCli:
             ["--model", "diminishing", "--dist", "-1"],
             ["--order", "600"],
             ["--order", "0"],
-            ["--L", "1e200", "--tau", "1e200"],
+            ["--L", "1e200", "--tau", "1e-200"],
             ["--model", "diminishing", "--beta", "1e200"],
             ["--model", "bandlimited", "--sigma", "1e-300"],
         ],
@@ -1002,18 +993,43 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("model,args,names", [
-        ("bandlimited", ["--sigma", "1e-170"], "noise_gradient_bound"),
-        ("periodic", ["--sigma", "1e-170"], "noise_gradient_bound, delta_sigma"),
-    ], ids=["bandlimited", "periodic"])
+    # each names every option its infinite rows read: the line named --sigma
+    # and --alpha alone, and a row that raised named none
+    @pytest.mark.parametrize("model,args,message", [
+        ("bandlimited", ["--sigma", "1e-170"],
+         "noise_gradient_bound = inf at --sigma 1e-170, --d 5, --alpha 1.0, --gamma 1.0"),
+        ("periodic", ["--sigma", "1e-170"],  # the n = 1 bound is finite there
+         "delta_sigma = inf at --sigma 1e-170, --d 5, --L 2.0, --tau 2.0, --alpha 1.0, "
+         "--gamma 1.0, --order 5"),
+        ("periodic", ["--gamma", "1e200"],
+         "delta_sigma = inf at --sigma 0.5, --d 5, --L 2.0, --tau 2.0, --alpha 1.0, "
+         "--gamma 1e+200, --order 5"),
+        ("periodic", ["--n", "3", "--alpha", "1e-200"],
+         "noise_gradient_bound, delta_sigma = inf at --sigma 0.5, --d 5, --L 2.0, --tau 2.0, "
+         "--alpha 1e-200, --gamma 1.0, --n 3, --order 5"),
+        ("diminishing", ["--dist", "1e200"],
+         "noise_gradient_bound = inf at --sigma 0.5, --d 5, --beta 0.001, --dist 1e+200"),
+        ("diminishing", ["--beta", "1e200"],
+         "per_step_rate = inf at --d 5, --L 2.0, --tau 2.0, --beta 1e+200"),
+    ], ids=["bandlimited", "periodic", "periodic-huge-gamma", "periodic-n3-tiny-alpha",
+            "diminishing-huge-dist", "diminishing-huge-beta"])
     def test_bounds_that_diverge_are_one_error_line_naming_the_options(self, model, args,
-                                                                         names, capsys):
-        # printed "bad bounds arguments: float division by zero"
+                                                                         message, capsys):
         assert cli_main(["bounds", "--model", model, *args]) == 1
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            f"error: bad bounds arguments: {names} = inf at --sigma 1e-170 and --alpha 1.0"]
+        assert captured.err.splitlines() == [f"error: bad bounds arguments: {message}"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("model,args,line", [
+        ("bandlimited", ["--gamma", "1e308"], "noise_gradient_bound = 2.047565276e+306"),
+        ("periodic", ["--L", "1e200", "--tau", "1e200"], "delta_sigma          = 255"),
+    ], ids=["bandlimited-huge-gamma", "periodic-huge-L-tau"])
+    def test_bounds_finite_beyond_an_overflowing_intermediate_print(self, model, args, line,
+                                                                   capsys):
+        # gamma sqrt(d) overflowed to inf, and tau^2 raised OverflowError
+        assert cli_main(["bounds", "--model", model, *args]) == 0
+        captured = capsys.readouterr()
+        assert line in captured.out.splitlines() and captured.err == ""
 
     def test_bounds_at_a_huge_alpha_print_the_limits(self, capsys):
         # alpha**2 raised OverflowError

@@ -12,7 +12,6 @@ from dgs_opt import (
     EvaluationError,
     Objective,
     PeriodicNoise,
-    RunConfig,
     SigmaSchedule,
     build_gh_rule,
     dgs_gradient,
@@ -33,6 +32,7 @@ from dgs_opt.smoothing import _block_size, _gh_nodes
 
 
 def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
+    """The keyword arguments of a run, with defaults."""
     d = objective.dimension
     defaults = dict(
         objective=objective,
@@ -44,7 +44,18 @@ def make_run_config(objective, sigma0=0.5, schedule=None, seed=42, **kwargs):
         initial_point=np.random.default_rng(seed).uniform(-5.0, 5.0, size=d),
     )
     defaults.update(kwargs)
-    return RunConfig(**defaults)
+    return defaults
+
+
+def _counting_objective(d):
+    """A quadratic whose evaluate records the number of points of each call."""
+    points = []
+
+    def evaluate(X):
+        points.append(len(np.atleast_2d(X)))
+        return (np.asarray(X) ** 2).sum(axis=-1)
+
+    return Objective(dimension=d, evaluate=evaluate), points
 
 
 class TestSchedules:
@@ -109,8 +120,8 @@ class TestSchedules:
         assert type(sched.sigma0) is float and type(sched.contraction) is float
         assert sigma_at(sched, 4) == 0.5 * 0.75**2
         f = quadratic_objective(3)
-        got = run(make_run_config(f, schedule=sched))
-        want = run(make_run_config(f, schedule=SigmaSchedule(0.5, 2, 0.75)))
+        got = run(**make_run_config(f, schedule=sched))
+        want = run(**make_run_config(f, schedule=SigmaSchedule(0.5, 2, 0.75)))
         assert got.sigmas.dtype == got.iterates.dtype == np.float64
         assert got.sigmas.tobytes() == want.sigmas.tobytes()
         assert got.iterates.tobytes() == want.iterates.tobytes()
@@ -163,8 +174,8 @@ def test_every_exported_name_resolves():
 class TestGdStep:
     def test_matches_explicit_update(self):
         x = np.array([1.0, -2.0, 0.5])
-        rec = run(make_run_config(quadratic_objective(3), rule=build_gh_rule(4),
-                                  step_size=0.1, max_iterations=1, initial_point=x))
+        rec = run(**make_run_config(quadratic_objective(3), rule=build_gh_rule(4),
+                                    step_size=0.1, max_iterations=1, initial_point=x))
         # estimator is exact on quadratics, so this is plain gradient descent
         np.testing.assert_allclose(rec.iterates[1], x - 0.1 * 2.0 * x, atol=1e-10)
 
@@ -172,18 +183,18 @@ class TestGdStep:
 class TestRun:
     def test_deterministic_given_seed(self):
         cfg = make_run_config(quadratic_objective(4))
-        a, b = run(cfg), run(cfg)
+        a, b = run(**cfg), run(**cfg)
         np.testing.assert_array_equal(a.iterates, b.iterates)
         np.testing.assert_array_equal(a.distances, b.distances)
 
     def test_different_seeds_differ(self):
         f = quadratic_objective(4)
-        a = run(make_run_config(f, seed=1))
-        b = run(make_run_config(f, seed=2))
+        a = run(**make_run_config(f, seed=1))
+        b = run(**make_run_config(f, seed=2))
         assert not np.array_equal(a.iterates[0], b.iterates[0])
 
     def test_record_shapes_consistent(self):
-        rec = run(make_run_config(quadratic_objective(3), max_iterations=20))
+        rec = run(**make_run_config(quadratic_objective(3), max_iterations=20))
         n = len(rec.iterates)
         assert n == 21
         assert rec.iterations_run == 20
@@ -192,13 +203,13 @@ class TestRun:
         assert np.isnan(rec.cosine_similarities[-1])
 
     def test_converges_on_quadratic(self):
-        rec = run(make_run_config(quadratic_objective(5), max_iterations=500, step_size=0.1))
+        rec = run(**make_run_config(quadratic_objective(5), max_iterations=500, step_size=0.1))
         assert rec.status == "ok"
         assert rec.distances[-1] < 1e-8
         assert np.all(np.diff(rec.distances) <= 1e-12)
 
     def test_cosine_similarity_near_one_on_quadratic(self):
-        rec = run(make_run_config(quadratic_objective(5), max_iterations=10))
+        rec = run(**make_run_config(quadratic_objective(5), max_iterations=10))
         np.testing.assert_allclose(rec.cosine_similarities[:-1], 1.0, atol=1e-9)
 
     def test_evaluation_count(self):
@@ -207,55 +218,58 @@ class TestRun:
         assert summary.evaluation_counts.dtype == np.int64
 
     def test_divergence_detected(self):
-        rec = run(
-            make_run_config(quadratic_objective(2), step_size=10.0, max_iterations=200)
-        )
+        rec = run(**make_run_config(quadratic_objective(2), step_size=10.0,
+                                    max_iterations=200))
         assert rec.status == "diverged"
         assert rec.iterations_run < 200
         assert np.all(np.isfinite(rec.iterates))
 
     def test_sigma_floor_stops_run(self):
         sched = SigmaSchedule(1e-13, switch_iteration=0, contraction=0.5)
-        rec = run(
-            make_run_config(quadratic_objective(2), sigma0=1e-13, schedule=sched,
-                            max_iterations=1000)
-        )
+        rec = run(**make_run_config(quadratic_objective(2), sigma0=1e-13, schedule=sched,
+                                    max_iterations=1000))
         assert rec.status == "ok"
         assert rec.iterations_run < 10
         assert sigma_at(sched, rec.iterations_run) < SIGMA_FLOOR
 
     def test_explicit_initial_point(self):
         x0 = np.array([1.0, 2.0, 3.0])
-        rec = run(make_run_config(quadratic_objective(3), initial_point=x0))
+        rec = run(**make_run_config(quadratic_objective(3), initial_point=x0))
         np.testing.assert_array_equal(rec.iterates[0], x0)
 
     @pytest.mark.parametrize("step_size", [math.inf, math.nan, 0.0, -0.1])
     def test_step_size_not_positive_and_finite_rejected(self, step_size):
         # an infinite step size was accepted, and run then reported diverged
         # after 1 step
+        f, points = _counting_objective(3)
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
-            make_run_config(quadratic_objective(3), step_size=step_size)
+            run(**make_run_config(f, step_size=step_size))
+        assert points == []
 
-    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True, "3", 0])
     def test_max_iterations_not_an_integer_rejected(self, max_iterations):
         # 2.5 was accepted, and run then raised TypeError from range()
+        f, points = _counting_objective(3)
         with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
-            make_run_config(quadratic_objective(3), max_iterations=max_iterations)
+            run(**make_run_config(f, max_iterations=max_iterations))
+        assert points == []
 
     def test_numpy_integer_max_iterations_accepted(self):
-        rec = run(make_run_config(quadratic_objective(3), max_iterations=np.int64(3)))
+        f, points = _counting_objective(3)
+        rec = run(**make_run_config(f, max_iterations=np.int64(3)))
         assert rec.iterations_run == 3
+        assert sum(points) == 3 * 5 * 3 + 4  # M * d nodes a step, then the 4 iterates
 
     def test_initial_point_shape_validated(self):
         with pytest.raises(ValueError):
-            run(make_run_config(quadratic_objective(3), initial_point=np.zeros(2)))
+            run(**make_run_config(quadratic_objective(3), initial_point=np.zeros(2)))
 
     def test_basis_of_another_dimension_is_rejected_before_a_step(self):
         # (M, 1) offsets would broadcast against a 3-D point and move every
         # coordinate by one derivative
         config = make_run_config(quadratic_objective(3), basis=identity_basis(1))
         with pytest.raises(ValueError, match=r"basis \(1, 1\) is not 3-dimensional"):
-            run(config)
+            run(**config)
 
 
 def _concave_capped(d):
@@ -288,24 +302,24 @@ _STOPS = {
 @pytest.mark.parametrize("stop", list(_STOPS))
 def test_stop_semantics(stop):
     cfg = make_run_config(**_STOPS[stop])
-    rec = run(cfg)
+    rec = run(**cfg)
     assert rec.status == ("diverged" if stop in ("norm-blowup", "nonfinite-eval") else "ok")
-    assert 0 < rec.iterations_run <= cfg.max_iterations
+    assert 0 < rec.iterations_run <= cfg["max_iterations"]
     if stop == "full-length":
-        assert rec.iterations_run == cfg.max_iterations
+        assert rec.iterations_run == cfg["max_iterations"]
     else:
-        assert rec.iterations_run < cfg.max_iterations
+        assert rec.iterations_run < cfg["max_iterations"]
     # a blown-up step is counted but its iterate is not recorded
     rows = rec.iterations_run + (0 if stop == "norm-blowup" else 1)
     assert len(rec.iterates) == rows
     for arr in (rec.distances, rec.objective_values, rec.cosine_similarities, rec.sigmas):
         assert len(arr) == rows
-    assert list(rec.sigmas) == [sigma_at(cfg.schedule, t) for t in range(rows)]
+    assert list(rec.sigmas) == [sigma_at(cfg["schedule"], t) for t in range(rows)]
     if stop == "sigma-floor":
         assert rec.sigmas[-1] < SIGMA_FLOOR
     assert np.isnan(rec.cosine_similarities[-1])
     assert np.all(np.isfinite(rec.iterates))
-    minimizer = cfg.objective.minimizer
+    minimizer = cfg["objective"].minimizer
     if minimizer is None:
         assert np.all(np.isnan(rec.distances))
     else:  # bit for bit, as the per-row norm the trace CSVs were written with
@@ -356,12 +370,12 @@ def test_evaluation_counts_follow_the_steps_taken(stop, monkeypatch):
 def _assert_per_step_columns(cfg, rec):
     """The objective and cosine columns, computed after the loop from the
     stacked iterates, equal their per-step definitions bit for bit."""
-    f = cfg.objective
+    f = cfg["objective"]
     np.testing.assert_array_equal(rec.objective_values,
                                   [float(f.evaluate(x)) for x in rec.iterates])
     want = []
     for x, sigma in zip(rec.iterates[:-1], rec.sigmas):
-        e = dgs_gradient(f, x, sigma, cfg.rule, cfg.basis)
+        e = dgs_gradient(f, x, sigma, cfg["rule"], cfg["basis"])
         g = f.true_gradient(x)
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN at a zero norm
             want.append(np.dot(e, g) / (np.linalg.norm(e) * np.linalg.norm(g)))
@@ -371,7 +385,7 @@ def _assert_per_step_columns(cfg, rec):
 def test_cosine_is_nan_where_the_true_gradient_is_zero():
     cfg = make_run_config(power_sum_sqrt_objective(3), initial_point=np.zeros(3),
                           max_iterations=20)
-    rec = run(cfg)
+    rec = run(**cfg)
     assert rec.status == "ok" and rec.iterations_run == 20
     assert np.isnan(rec.cosine_similarities[0])
     _assert_per_step_columns(cfg, rec)
@@ -391,7 +405,7 @@ def test_loop_records_no_column_per_step():
     f = quadratic_objective(3)
     f.evaluate = counted("evaluate", f.evaluate)
     f.true_gradient = counted("true_gradient", f.true_gradient)
-    rec = run(make_run_config(f, max_iterations=30))
+    rec = run(**make_run_config(f, max_iterations=30))
     assert rec.iterations_run == 30
     assert calls == {"evaluate": 30 + 1, "true_gradient": 1}
 
@@ -403,7 +417,7 @@ def test_evaluate_is_called_once_per_step_also_on_the_step_that_raises():
     f = _concave_capped(3)
     evaluate = f.evaluate
     f.evaluate = lambda points: calls.append(len(points)) or evaluate(points)
-    rec = run(make_run_config(f, initial_point=np.ones(3), step_size=0.1, max_iterations=200))
+    rec = run(**make_run_config(f, initial_point=np.ones(3), step_size=0.1, max_iterations=200))
     assert rec.status == "diverged" and rec.iterations_run < 200
     # each step taken, the step that raised, then the objective column
     assert calls == [5 * 3] * (rec.iterations_run + 1) + [rec.iterations_run + 1]
@@ -412,19 +426,19 @@ def test_evaluate_is_called_once_per_step_also_on_the_step_that_raises():
 def _reference_steps(cfg):
     """run's step loop with a dgs_gradient call every step: (iterates,
     sigmas, steps taken, status)."""
-    f = cfg.objective
-    x = np.array(cfg.initial_point, dtype=float)
+    f = cfg["objective"]
+    x = np.array(cfg["initial_point"], dtype=float)
     iterates, sigmas = [x], []
-    for t in range(cfg.max_iterations + 1):
-        sigma = sigma_at(cfg.schedule, t)
+    for t in range(cfg["max_iterations"] + 1):
+        sigma = sigma_at(cfg["schedule"], t)
         sigmas.append(sigma)
-        if t == cfg.max_iterations or sigma < SIGMA_FLOOR:
+        if t == cfg["max_iterations"] or sigma < SIGMA_FLOOR:
             return iterates, sigmas, t, "ok"
         try:
-            estimate = dgs_gradient(f, x, sigma, cfg.rule, cfg.basis)
+            estimate = dgs_gradient(f, x, sigma, cfg["rule"], cfg["basis"])
         except EvaluationError:
             return iterates, sigmas, t, "diverged"
-        x = x - cfg.step_size * estimate
+        x = x - cfg["step_size"] * estimate
         if not np.linalg.norm(x) <= DIVERGENCE_NORM:
             return iterates, sigmas, t + 1, "diverged"
         iterates.append(x)
@@ -452,7 +466,7 @@ def test_run_reuses_node_offsets_per_radius_without_moving_a_bit(schedule, basis
     cfg = make_run_config(
         f, schedule=schedule, rule=build_gh_rule(7), max_iterations=40,
         basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
-    rec = run(cfg)
+    rec = run(**cfg)
     iterates, sigmas, steps, status = _reference_steps(cfg)
     assert rec.iterates.tobytes() == np.array(iterates).tobytes()
     assert rec.sigmas.tobytes() == np.array(sigmas).tobytes()
@@ -483,11 +497,12 @@ def test_zero_estimate_from_a_minus_zero_start_keeps_the_basis_product_bits(case
                           rule=build_gh_rule(order), initial_point=np.full(d, -0.0),
                           max_iterations=5)
     if case == "underflowed-derivatives":
-        offsets, coefficients, scale = _gh_nodes(cfg.basis.columns, cfg.rule)([sigma0])[0][:3]
-        values = evaluate(cfg.initial_point + offsets).reshape(d, order)
+        nodes_at = _gh_nodes(cfg["basis"].columns, cfg["rule"])
+        offsets, coefficients, scale = nodes_at([sigma0])[0][:3]
+        values = evaluate(cfg["initial_point"] + offsets).reshape(d, order)
         derivatives = np.einsum("km,m->k", values, coefficients) * scale
         assert np.signbit(derivatives).all() and not derivatives.any()
-    rec = run(cfg)
+    rec = run(**cfg)
     assert (rec.iterations_run, rec.status) == (5, "ok")
     assert rec.iterates.tobytes() == np.full((6, d), -0.0).tobytes()
     iterates, sigmas, steps, status = _reference_steps(cfg)
@@ -530,7 +545,7 @@ def test_run_builds_each_new_radius_without_moving_a_bit(case, basis):
         5, noise=sample_bandlimited(5, 1.0, 20, seed=8)), rule=build_gh_rule(7),
         basis=identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3))
     cfg = make_run_config(**{**kwargs, **overrides})
-    rec = run(cfg)
+    rec = run(**cfg)
     iterates, sigmas, steps, status = _reference_steps(cfg)
     assert (rec.iterations_run, rec.status) == (want_steps, want_status)
     assert rec.iterates.tobytes() == np.array(iterates).tobytes()
@@ -543,15 +558,32 @@ def test_radius_underflowing_below_the_floor_stops_without_a_warning():
     # their nodes nor warn
     cfg = make_run_config(quadratic_objective(3), schedule=SigmaSchedule(1.0, 0, 1e-10),
                           max_iterations=500)
-    assert sigma_at(cfg.schedule, 40) == 0.0
+    assert sigma_at(cfg["schedule"], 40) == 0.0
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        rec = run(cfg)
+        rec = run(**cfg)
     assert (rec.iterations_run, rec.status) == (2, "ok")
-    assert rec.sigmas.tolist() == [1.0, 1e-10, sigma_at(cfg.schedule, 2)]
+    assert rec.sigmas.tolist() == [1.0, 1e-10, sigma_at(cfg["schedule"], 2)]
     iterates, sigmas, steps, status = _reference_steps(cfg)
     assert rec.iterates.tobytes() == np.array(iterates).tobytes()
     assert (steps, status) == (2, "ok")
+
+
+def test_iterates_near_the_float_limit_give_inf_distances_without_a_warning():
+    # the distance column's row dot products printed "RuntimeWarning:
+    # overflow encountered in matmul" (a box of [1e307, 1.5e307] did); the
+    # first evaluation is not finite, so the trial ends at x0, whose norm
+    # overflows
+    x0 = np.array([1e200, -1.5e200, 1e200])
+    f = Objective(dimension=3, evaluate=lambda X: np.full(np.shape(X)[:-1], np.inf),
+                  true_gradient=np.ones_like, minimizer=np.zeros(3))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rec = run(**make_run_config(f, initial_point=x0, max_iterations=3))
+    assert (rec.iterations_run, rec.status) == (0, "diverged")
+    with np.errstate(over="ignore"):
+        assert rec.distances.tolist() == [np.linalg.norm(x0)] == [math.inf]
+    assert np.isnan(rec.cosine_similarities).all()
 
 
 def test_a_block_holds_64_kib_of_radii_at_each_workload_shape():
@@ -605,14 +637,15 @@ def test_each_stepped_radius_is_built_once_a_block_at_a_time(case, max_iteration
     if max_iterations is not None:
         overrides["max_iterations"] = max_iterations
     cfg = make_run_config(**overrides)
-    rec = run(cfg)
-    block = _block_size(cfg.basis.columns, cfg.rule)
+    rec = run(**cfg)
+    block = _block_size(cfg["basis"].columns, cfg["rule"])
     stepped = rec.sigmas[:rec.iterations_run].tolist()
-    radii_read = [sigma_at(cfg.schedule, t) for t in read]
+    radii_read = [sigma_at(cfg["schedule"], t) for t in read]
     assert min(radii_read[:-1], default=SIGMA_FLOOR) >= SIGMA_FLOOR
-    ahead = [s for t, s in zip(read, radii_read) if t < cfg.max_iterations and s >= SIGMA_FLOOR]
+    last = cfg["max_iterations"]
+    ahead = [s for t, s in zip(read, radii_read) if t < last and s >= SIGMA_FLOOR]
     built = [s for radii in blocks for s in radii]
-    assert builders == [cfg.rule] and all(blocks) and max(map(len, blocks)) <= block
+    assert builders == [cfg["rule"]] and all(blocks) and max(map(len, blocks)) <= block
     assert len(_changes(stepped)) == new_radii
     assert built == _changes(ahead) and built[:new_radii] == _changes(stepped)
     assert all(_changes(radii, radii_before[-1] if radii_before else None) == radii

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,40 @@ from dgs_opt import (
 )
 
 LT = ConvexityConstants(L=2.0, tau=2.0)
+
+
+# The bounds in 50-digit arithmetic, each formula as its docstring states it.
+def _periodic_50(gamma_n, n, alpha, sigma, d):
+    a = 2 * mpmath.pi**2 * (mpmath.mpf(alpha) * sigma) ** 2
+    tail = {1: mpmath.sqrt(mpmath.pi / a) / 2, 2: mpmath.log1p(1 / a) / 2}.get(n, 1 / (2 * a))
+    return (4 / mpmath.pi * gamma_n * mpmath.sqrt(d) * (2 * mpmath.pi * alpha) ** (1 - n)
+            * mpmath.exp(-a) * (1 + tail))
+
+
+def _bandlimited_50(gamma, alpha0, sigma, d):
+    a = 2 * mpmath.pi**2 * (mpmath.mpf(alpha0) * sigma) ** 2
+    return gamma * mpmath.sqrt(d) * mpmath.exp(-a) / (mpmath.pi * mpmath.mpf(sigma) ** 2)
+
+
+def _diminishing_50(beta, sigma, dist, d):
+    return beta * mpmath.sqrt(2 * mpmath.mpf(d) / mpmath.pi) * (2 * mpmath.mpf(sigma)
+                                                                 + mpmath.mpf(dist) ** 2 / sigma)
+
+
+def _rate_50(constants, beta, d):
+    L, tau, beta = mpmath.mpf(constants.L), mpmath.mpf(constants.tau), mpmath.mpf(beta)
+    return (1 - tau / (32 * L) + (6 / (tau * L) + 3 / (8 * L**2)) * d * beta
+            * mpmath.sqrt(2 * L**2 * mpmath.pi + beta**2) / mpmath.pi)
+
+
+def _delta_50(constants, gamma1, alpha, sigma, d, order):
+    L, tau, sigma = mpmath.mpf(constants.L), mpmath.mpf(constants.tau), mpmath.mpf(sigma)
+    square = (alpha * sigma) ** 2
+    gh = (mpmath.pi * d * mpmath.factorial(order) ** 2 * sigma ** (4 * order - 2)
+          / (4**order * mpmath.factorial(2 * order) ** 2))
+    noise = (96 / mpmath.pi**2 * mpmath.mpf(gamma1) ** 2 * d
+             * mpmath.exp(-4 * mpmath.pi**2 * square) * (1 + 1 / (8 * mpmath.pi * square)))
+    return (4 / tau**2 + 1 / (4 * L * tau)) * (gh + 48 * L**2 * d * sigma**2 + noise)
 
 
 class TestConstants:
@@ -103,8 +138,7 @@ class TestNoiseGradientBounds:
     # (alpha sigma)^2 underflows at sigma = 1e-170, and alpha^2 overflowed at
     # alpha = 1e200: each raised ZeroDivisionError or OverflowError
     @pytest.mark.parametrize("bound,value", [
-        *[(lambda n=n: periodic_noise_grad_bound(1.0, n, 1.0, 1e-170, 5), math.inf)
-          for n in (1, 2, 3)],
+        (lambda: periodic_noise_grad_bound(1.0, 3, 1.0, 1e-170, 5), math.inf),
         (lambda: periodic_noise_grad_bound(1.0, 1, 1e-200, 1e-200, 5), math.inf),
         (lambda: bandlimited_noise_grad_bound(1.0, 1.0, 1e-170, 5), math.inf),
         (lambda: delta_sigma_periodic(LT, 1.0, 1.0, 1e-170, 5, 5), math.inf),
@@ -112,16 +146,43 @@ class TestNoiseGradientBounds:
           for n in (1, 2, 3)],
         (lambda: bandlimited_noise_grad_bound(1.0, 1e200, 0.5, 5), 0.0),
         (lambda: bandlimited_noise_grad_bound(1.0, 1e200, 1e-170, 5), 0.0),
-        # the noise term vanishes and the rest stays
-        (lambda: delta_sigma_periodic(LT, 1.0, 1e200, 0.5, 5, 5),
-         (4.0 / 4.0 + 1.0 / 16.0) * (gh_error_term(5, 0.5, 5) + 48.0 * 4.0 * 5 * 0.25)),
         (lambda: diminishing_noise_grad_bound(1e-3, 1e-320, 1.0, 5), math.inf),
-    ], ids=[*(f"periodic-n{n}-tiny-sigma" for n in (1, 2, 3)), "periodic-tiny-alpha-sigma",
+    ], ids=["periodic-n3-tiny-sigma", "periodic-tiny-alpha-sigma",
             "bandlimited-tiny-sigma", "delta-tiny-sigma",
             *(f"periodic-n{n}-huge-alpha" for n in (1, 2, 3)), "bandlimited-huge-alpha",
-            "bandlimited-huge-alpha-tiny-sigma", "delta-huge-alpha", "diminishing-tiny-sigma"])
+            "bandlimited-huge-alpha-tiny-sigma", "diminishing-tiny-sigma"])
     def test_bounds_take_their_limits_at_extreme_valid_inputs(self, bound, value):
         assert bound() == value
+
+    # Each raised, returned NaN or returned inf at a finite value: an
+    # intermediate (gamma sqrt(d), (2 pi alpha)^(1 - n), 1/a, dist^2, beta^2,
+    # gamma1^2, L^2) overflowed or underflowed where the value did not.
+    @pytest.mark.parametrize("bound,reference,args", [
+        (bandlimited_noise_grad_bound, _bandlimited_50, (1e308, 1.0, 0.5, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1e308, 1, 1.0, 0.5, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1.0, 3, 1e-200, 0.5, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1.0, 100, 1e10, 1e-180, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1.0, 1, 1.0, 1e-170, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1.0, 2, 1.0, 1e-170, 5)),
+        (periodic_noise_grad_bound, _periodic_50, (1e-300, 30, 1e-100, 1e99, 5)),
+        (diminishing_noise_grad_bound, _diminishing_50, (1e-3, 0.5, 1e200, 5)),
+        (diminishing_noise_grad_bound, _diminishing_50, (1e-300, 1.0, 1e10, 5)),
+        (diminishing_rate, _rate_50, (LT, 1e300, 5)),
+        (delta_sigma_periodic, _delta_50, (LT, 1e200, 1.0, 0.5, 5, 5)),
+        (delta_sigma_periodic, _delta_50, (LT, 1.0, 1e200, 0.5, 5, 5)),
+        (delta_sigma_periodic, _delta_50, (ConvexityConstants(1e200, 1e200), 1.0, 1.0, 0.5, 5, 5)),
+    ], ids=["bandlimited-huge-gamma", "periodic-huge-gamma", "periodic-n3-tiny-alpha",
+            "periodic-n100-tiny-sigma", "periodic-n1-tiny-sigma", "periodic-n2-tiny-sigma",
+            "periodic-n30-huge-power", "diminishing-huge-dist", "diminishing-tiny-beta",
+            "rate-huge-beta", "delta-huge-gamma", "delta-huge-alpha", "delta-huge-L-tau"])
+    def test_bounds_at_extreme_valid_inputs_match_50_digit_values(self, bound, reference, args):
+        with mpmath.workdps(50):
+            want = float(reference(*args))  # inf or 0.0 beyond the float range
+        got = bound(*args)
+        if want in (0.0, math.inf):
+            assert got == want
+        else:  # a log-space product: |log| up to ~700 times the unit roundoff
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestRecommendedSigma:

@@ -1,8 +1,8 @@
 """The project's tooling: its pytest settings, run on a scratch file, and
 what a cold `import dgs_opt` loads, each checked in a fresh interpreter; the
 test extra's packages, checked against the test files' imports; the parsers
-of `tools/bench_record.py`, on canned output; and the summary of
-`tools/bench_pairs.py`, on fixed numbers."""
+of `tools/bench_record.py`, on canned output; and the summary, `--workload`
+option and `src_lines` line of `tools/bench_pairs.py`, on fixed numbers."""
 import ast
 import importlib.util
 import json
@@ -243,3 +243,18 @@ def test_reference_check_names_each_failing_config_and_exits_1():
     assert lines[0].startswith("master seed 8: trials_ok [")
     assert lines[0].endswith("] != reference [0, 0, 0, 0, 0]")
     assert lines[-1] == "periodic-m5: 4 of 4 configs failed (workload seeds 2 .. 2, smoke sizes)"
+
+
+def test_bench_pairs_workload_option_extends():
+    # a second --workload replaced the first
+    args = _bench_pairs().parse_args(["HEAD", "--workload", "a", "--workload", "b", "c"])
+    assert args.workload == ["a", "b", "c"]
+
+
+def test_bench_pairs_prints_each_trees_src_lines_from_its_meta_lines():
+    src_lines = _bench_pairs().src_lines_line
+    failed = {"exit_code": 1, "stderr_tail": []}
+    before = [failed, {"exit_code": 0, "meta": {**_META, "src_lines": 1876}}]
+    after = [{"exit_code": 0, "meta": {**_META, "src_lines": 1873}}]
+    assert src_lines(before, after) == "src_lines         1876 -> 1873"
+    assert src_lines([failed], after) == "src_lines         - -> 1873"

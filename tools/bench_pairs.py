@@ -7,8 +7,9 @@ directory, touching neither the working tree nor ``.git``. Pair i runs
 ``perfbench/run.py --trace 0`` at seed ``--seed`` + i on both trees, the
 revision first in even pairs. Prints, per workload and end-to-end metric of
 BENCHMARK.json, the two medians, the revision's q1-q3 (its share of the median,
-"unresolved" above the metric's bound) and the pairs the working tree won.
-Exits 1 if a run failed or was not correct.
+"unresolved" above the metric's bound) and the pairs the working tree won,
+then the two trees' ``src_lines`` from the runs' meta lines. ``--workload``
+may be given more than once. Exits 1 if a run failed or was not correct.
 """
 import argparse
 import json
@@ -19,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import ROOT, read_run  # noqa: E402
+from bench_record import ROOT, read_run, src_lines  # noqa: E402
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -47,14 +48,25 @@ def summarize(before: list[dict], after: list[dict], metrics: list[dict]) -> lis
     return lines
 
 
-def main(argv=None) -> int:
+def src_lines_line(before: list[dict], after: list[dict]) -> str:
+    """The two trees' ``src/`` line counts from their runs' meta lines ("-"
+    where no run has one)."""
+    a, b = ("-" if n is None else n for n in (src_lines(before), src_lines(after)))
+    return f"{'src_lines':<17} {a} -> {b}"
+
+
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare the working tree with")
-    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--workload", nargs="+", action="extend", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,7 +87,8 @@ def main(argv=None) -> int:
             if ok:
                 values = [[{name: metric["value"] for name, metric in result["metrics"].items()}
                            for result in side] for side in results]
-                print("\n".join(f"  {line}" for line in summarize(*values, metrics)))
+                lines = [*summarize(*values, metrics), src_lines_line(*runs.values())]
+                print("\n".join(f"  {line}" for line in lines))
     return 1 if failed else 0
 
 

@@ -109,10 +109,10 @@ def _end_to_end(record: dict, workload: str) -> dict:
             run.get("result", {}).get("metrics", {}).items()}
 
 
-def _src_lines(record: dict) -> int | None:
-    """The ``src/`` line count of a record's first run meta line that has one."""
-    return next((run["meta"]["src_lines"] for runs in record["workloads"].values()
-                 for run in runs.values() if "src_lines" in run.get("meta", {})), None)
+def src_lines(runs) -> int | None:
+    """The ``src/`` line count of the first of ``runs`` whose meta line has one."""
+    return next((run["meta"]["src_lines"] for run in runs
+                 if "src_lines" in run.get("meta", {})), None)
 
 
 def compare(record: dict, earlier: dict, metrics: list[dict]) -> list[str]:
@@ -129,7 +129,8 @@ def compare(record: dict, earlier: dict, metrics: list[dict]) -> list[str]:
             values = " -> ".join("-" if v is None else f"{v:.6g}" for v in (a, b))
             lines.append(f"{workload:<16} {metric['name']:<17} {values} {metric['unit']} "
                          f"({change})")
-    a, b = _src_lines(earlier), _src_lines(record)
+    a, b = (src_lines(run for runs in r["workloads"].values() for run in runs.values())
+            for r in (earlier, record))
     values = " -> ".join("-" if v is None else str(v) for v in (a, b))
     return lines + [f"src_lines {values} ({'-' if None in (a, b) else f'{b - a:+d}'})"]
 
