@@ -87,10 +87,10 @@ class TrialRecord:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of a and b. Each row gets the bits of np.dot on
     it, and so of np.linalg.norm, which einsum and norm(axis=1) do not."""
-    with np.errstate(over="ignore"):  # inf beyond the float range, as np.linalg.norm gives
-        return (a[:, None, :] @ b[:, :, None]).ravel()
+    return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
+@np.errstate(over="ignore")  # an overflow is an inf that ends the trial diverged, not a warning
 def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule,
         rule: GHRule, basis: DirectionBasis, step_size: float,
         max_iterations: int) -> TrialRecord:

@@ -50,12 +50,12 @@ class Objective:
     """A noisy observable F(x) = phi(x) + eps(x).
 
     ``evaluate`` must be a pure, deterministic map that takes an (n, d) array
-    of points and returns n values (a single (d,) point gives one value),
-    and be safe for concurrent calls; the estimators batch their node
-    evaluations through it unless ``sines`` is set. ``true_gradient`` and
-    ``minimizer`` are available only for synthetic objectives;
-    ``true_gradient`` also takes (n, d) batches. The optimizer calls both
-    once per trial on its stacked iterates.
+    of points and returns n values (a single (d,) point gives one value), and
+    be safe for concurrent calls; the estimators batch their node evaluations
+    through it as F-ordered (n, d) arrays, unless ``sines`` is set (phi then
+    gets them). ``true_gradient`` and ``minimizer`` are available only for
+    synthetic objectives; ``true_gradient`` also takes (n, d) batches. The
+    optimizer calls both once per trial on its stacked iterates.
 
     When eps = weight * sum_ij sin(2 pi alpha_ij x_i), alpha (d, J), ``sines``
     may be (phi, alpha, weight): the estimators then evaluate phi alone and
@@ -125,7 +125,7 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
     """The builder, many radii at once, of what a Gauss-Hermite estimate along
     each column xi of ``columns`` (d x k) needs besides x and F: per float
     sigma in ``radii``, with the bits of its build alone, ``nodes_at(radii)``
-    gives the node offsets ((sqrt(2) sigma) v_m) xi from x, as a (k * M, d)
+    gives the node offsets ((sqrt(2) sigma) v_m) xi from x, as an F-ordered (k * M, d)
     array, direction-major; the coefficients w_m v_m; the factor sqrt(2) /
     (sqrt(pi) sigma); the columns, with whether they are the identity; and, for
     an objective's ``sines`` (phi, alpha, weight), a table and the rates 2 pi
@@ -138,7 +138,7 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
     The rest is built once."""
     d = len(columns)
     nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
-    # C-ordered directions give C-ordered offsets, which reshape without a copy
+    # C-ordered directions give C-ordered tables, whose contraction's bits follow their layout
     directions = np.ascontiguousarray(columns.T)[:, None, :]
     identity, rates = np.array_equal(columns, np.eye(d)), None
     if sines is not None:
@@ -149,11 +149,11 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
 
     def nodes_at(radii: Sequence[float]) -> list:
         scaled = _SQRT2 * np.array(radii, dtype=float)
-        offsets = (scaled[:, None, None] * nodes)[:, None] * directions
+        offsets = (scaled[:, None] * rule.nodes)[:, None, None, :] * columns[:, :, None]
         tables = [None] * len(radii) if sines is None else c_einsum(
             "m,nkmji->nkji", halves, np.sin(scaled[:, None, None, None, None] * units))
-        return [(o, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
-                for o, sigma, table in zip(offsets.reshape(len(radii), -1, d), radii, tables)]
+        return [(o.T, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
+                for o, sigma, table in zip(offsets.reshape(len(radii), d, -1), radii, tables)]
 
     return nodes_at
 
@@ -171,8 +171,10 @@ def _gh_gradient(f: Objective, x: np.ndarray, nodes: tuple) -> np.ndarray:
     radius's build from _gh_nodes), (1 / (sqrt(pi) * sigma)) * sum_m w_m
     F(x + sqrt(2) sigma v_m xi) * sqrt(2) v_m, mapped back to standard
     coordinates by the product with the columns; with a sine-sum table, F is
-    the objective's phi plus the table's term. Raises EvaluationError at the
-    first point whose value is not finite, as Objective.eval_batch."""
+    the objective's phi plus the table's term, on F-ordered points: a sum over
+    their d coordinates is d - 1 column adds, in the order numpy sums a
+    C-ordered row of fewer than 8. Raises EvaluationError at the first point
+    whose value is not finite, as Objective.eval_batch."""
     offsets, coefficients, scale, columns, identity, table, rates = nodes
     # x is added last, so each point has the bits of x + (sqrt(2) sigma v_m xi)
     points = x + offsets

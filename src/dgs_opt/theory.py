@@ -138,14 +138,17 @@ def gh_error_term(d: int, sigma: float, order: int) -> float:
     and sigma^(4M - 2) is taken as a mantissa power times a power of two, so
     neither overflows where the term is finite (up to MAX_ORDER). A term
     beyond the float range is an OverflowError; one below it is 0.0."""
+    return math.ldexp(*_gh_parts(d, sigma, order))
+
+
+def _gh_parts(d: int, sigma: float, order: int) -> tuple[float, int]:
+    """gh_error_term as (p, e), p * 2^e, with neither p nor e out of range."""
     m = order
     ratio = math.factorial(m) ** 2 / (4**m * math.factorial(2 * m) ** 2)
     mantissa, exponent = math.frexp(sigma)
     ratio_mantissa, ratio_exponent = math.frexp(ratio)
-    return math.ldexp(
-        math.pi * d * ratio_mantissa * mantissa ** (4 * m - 2),
-        ratio_exponent + exponent * (4 * m - 2),
-    )
+    return (math.pi * d * ratio_mantissa * mantissa ** (4 * m - 2),
+            ratio_exponent + exponent * (4 * m - 2))
 
 
 def delta_sigma_periodic(
@@ -163,12 +166,12 @@ def delta_sigma_periodic(
     term is not determined by theory and is taken as 1 (gh_error_term); use
     this function for shape comparisons, not absolute thresholds. Each term
     times the lead 4/tau^2 + 1/(4 L tau) is taken in log space, as in
-    periodic_noise_grad_bound.
+    periodic_noise_grad_bound, the quadrature term's from gh_error_term's parts.
     """
     L, tau = constants.L, constants.tau
     log_lead = math.log(4.0 + 0.25 * tau / L) - 2.0 * math.log(tau)
-    gh = gh_error_term(d, sigma, order)
-    logs = (math.log(gh) if gh else -math.inf,
+    gh_product, gh_exponent = _gh_parts(d, sigma, order)
+    logs = (math.log(gh_product) + gh_exponent * math.log(2.0),
             math.log(48.0 * d) + 2.0 * (math.log(L) + math.log(sigma)),
             math.log(96.0 / math.pi**2 * d) + 2.0 * math.log(gamma1)
             - 4.0 * math.pi**2 * (alpha * sigma) * (alpha * sigma)
@@ -192,8 +195,18 @@ def diminishing_rate(constants: ConvexityConstants, beta: float, d: int) -> floa
     (1 - tau/(32L)) + (6/(tau L) + 3/(8 L^2)) d beta sqrt(2 L^2 pi + beta^2) / pi.
     Below 1 exactly when the noise envelope's curvature meets the smallness
     condition of the exact-convergence guarantee,
-    beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau)."""
+    beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau).
+    The plain formula wherever L L and tau L are normal floats; elsewhere L, tau
+    and beta are first scaled alike (the rate does not change) by the power of
+    two that brings tau L nearest 1 with L L and tau normal, if one does."""
     L, tau = constants.L, constants.tau
+    if not (L * L < math.inf and tau * L >= 2.0**-1022):  # 2^-1022: the least normal
+        e_L, e_tau = math.frexp(L)[1], math.frexp(tau)[1]  # none does past L/tau = 2^1530
+        exponent = min(-((e_L + e_tau) // 2), 510 - e_L) if e_L - e_tau <= 1530 else 0
+        try:
+            L, tau, beta = (math.ldexp(v, exponent) for v in (L, tau, beta))
+        except OverflowError:  # a scaled beta beyond the float range, and so the rate
+            return math.inf
     return (1.0 - tau / (32.0 * L)) + (
         6.0 / (tau * L) + 3.0 / (8.0 * L * L)
     ) * d * beta * math.sqrt(2.0 * L * L * math.pi + beta * beta) / math.pi

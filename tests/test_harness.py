@@ -960,6 +960,25 @@ class TestCli:
             assert cfg.trials == 20
             assert cfg.sigma_grid[0] == 0.01 and cfg.sigma_grid[-1] == 50.0
 
+    @pytest.mark.parametrize("objective,noise", [
+        ("power-sum-sqrt", {"kind": "periodic", "alpha": 1.0}),
+        ("quadratic", {"kind": "none"}),
+    ])
+    def test_a_box_near_the_float_limit_runs_without_a_warning(self, objective, noise,
+                                                               tmp_path, capsys):
+        # phi's power or square at the first estimate's nodes printed numpy's
+        # "overflow encountered in ..." before the trials ended diverged
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(
+            objective={"kind": objective, "dimension": 3, "box": [1e307, 1.5e307]},
+            noise=noise, sigma_grid=[0.5], max_iterations=5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "sigma=0.5: all 2 trials diverged" in captured.out
+        assert "Warning" not in captured.out + captured.err
+
     def test_seed_override_changes_results(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_doc(sigma_grid=[1.0], trials=1, max_iterations=5)))
@@ -1011,8 +1030,11 @@ class TestCli:
          "noise_gradient_bound = inf at --sigma 0.5, --d 5, --beta 0.001, --dist 1e+200"),
         ("diminishing", ["--beta", "1e200"],
          "per_step_rate = inf at --d 5, --L 2.0, --tau 2.0, --beta 1e+200"),
+        ("periodic", ["--sigma", "1e100"],  # sigma^(4M - 2) raised "math range error"
+         "delta_sigma = inf at --sigma 1e+100, --d 5, --L 2.0, --tau 2.0, --alpha 1.0, "
+         "--gamma 1.0, --order 5"),
     ], ids=["bandlimited", "periodic", "periodic-huge-gamma", "periodic-n3-tiny-alpha",
-            "diminishing-huge-dist", "diminishing-huge-beta"])
+            "diminishing-huge-dist", "diminishing-huge-beta", "periodic-huge-sigma"])
     def test_bounds_that_diverge_are_one_error_line_naming_the_options(self, model, args,
                                                                          message, capsys):
         assert cli_main(["bounds", "--model", model, *args]) == 1
@@ -1023,10 +1045,12 @@ class TestCli:
     @pytest.mark.parametrize("model,args,line", [
         ("bandlimited", ["--gamma", "1e308"], "noise_gradient_bound = 2.047565276e+306"),
         ("periodic", ["--L", "1e200", "--tau", "1e200"], "delta_sigma          = 255"),
-    ], ids=["bandlimited-huge-gamma", "periodic-huge-L-tau"])
+        ("diminishing", ["--L", "1e200", "--tau", "1"], "per_step_rate        = 1.023936537"),
+    ], ids=["bandlimited-huge-gamma", "periodic-huge-L-tau", "diminishing-huge-L"])
     def test_bounds_finite_beyond_an_overflowing_intermediate_print(self, model, args, line,
                                                                    capsys):
-        # gamma sqrt(d) overflowed to inf, and tau^2 raised OverflowError
+        # gamma sqrt(d) overflowed to inf, tau^2 raised OverflowError, and L^2
+        # overflowed to a rate of inf
         assert cli_main(["bounds", "--model", model, *args]) == 0
         captured = capsys.readouterr()
         assert line in captured.out.splitlines() and captured.err == ""

@@ -586,6 +586,21 @@ def test_iterates_near_the_float_limit_give_inf_distances_without_a_warning():
     assert np.isnan(rec.cosine_similarities).all()
 
 
+@pytest.mark.parametrize("objective,x0,steps", [
+    (power_sum_sqrt_objective(5), np.full(5, 1.2e307), 0),  # |x|^powers overflows
+    (quadratic_objective(5), np.full(5, 1.2e307), 0),  # x^2 overflows
+    (Objective(dimension=3, evaluate=lambda X: np.zeros(np.shape(X)[:-1])),
+     np.full(3, 1e200), 1),  # the step's squared norm overflows in the divergence test
+], ids=["power-sum-sqrt", "quadratic", "zero"])
+def test_overflow_near_the_float_limit_ends_diverged_without_a_warning(objective, x0, steps):
+    # each printed numpy's "overflow encountered in power", "... in square"
+    # or "... in dot"; the trial ends diverged at the same step as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run(**make_run_config(objective, initial_point=x0, max_iterations=10))
+    assert (rec.status, rec.iterations_run) == ("diverged", steps)
+
+
 def test_a_block_holds_64_kib_of_radii_at_each_workload_shape():
     # theorem3-cli's (no sine sum), periodic-m5's and bandlimited-m40's, at d = 5
     eye, periodic = np.eye(5), power_sum_sqrt_objective(5, PeriodicNoise(1.0)).sines

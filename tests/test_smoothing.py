@@ -10,6 +10,7 @@ from dgs_opt import (
     DirectionBasis,
     EvaluationError,
     Objective,
+    SigmaSchedule,
     build_gh_rule,
     dgs_gradient,
     PeriodicNoise,
@@ -17,6 +18,7 @@ from dgs_opt import (
     power_sum_sqrt_objective,
     quadratic_objective,
     random_orthonormal_basis,
+    run,
     sample_bandlimited,
 )
 from dgs_opt.smoothing import SIGMA_FLOOR, _gh_gradient, _gh_nodes
@@ -432,3 +434,93 @@ def _zero(x):
 def test_objective_rejects_a_sine_sum_it_cannot_use(sines, match):
     with pytest.raises(ValueError, match=match):
         Objective(dimension=3, evaluate=_zero, sines=sines)
+
+
+def _recording(f):
+    """f, with the batches that reach its evaluate or phi kept in a list."""
+    batches = []
+
+    def keep(fn):
+        return lambda points: batches.append(points) or fn(points)
+
+    sines = None if f.sines is None else (keep(f.sines[0]), *f.sines[1:])
+    return Objective(dimension=f.dimension, evaluate=keep(f.evaluate), sines=sines), batches
+
+
+def _c_ordered(f):
+    """f, evaluating each batch as a C-ordered copy: the row sums of the
+    coordinates then run along each row, as they did before the batches
+    were coordinate-major."""
+
+    def copying(fn):
+        return lambda points: fn(np.ascontiguousarray(points))
+
+    sines = None if f.sines is None else (copying(f.sines[0]), *f.sines[1:])
+    return Objective(dimension=f.dimension, evaluate=copying(f.evaluate), sines=sines)
+
+
+def _noisy(kind, d):
+    noise = {"periodic": PeriodicNoise(1.0), "bandlimited": sample_bandlimited(d, 1.0, 20, d),
+             "diminishing": DiminishingNoise(1e-4), "none": None}[kind]
+    return power_sum_sqrt_objective(d, noise)
+
+
+@pytest.mark.parametrize("order", [5, 40])
+@pytest.mark.parametrize("basis", ["identity", "random"])
+@pytest.mark.parametrize("kind", ["bandlimited", "diminishing"])  # phi, then evaluate
+def test_the_estimate_evaluates_a_coordinate_major_batch(order, basis, kind):
+    # each radius's k * M points reach phi or evaluate F-ordered, from a
+    # one-radius build (dgs_gradient), a block build, and run at a decaying
+    # radius (which builds a block of radii where _block_size allows it)
+    f, batches = _recording(_noisy(kind, 5))
+    rule = build_gh_rule(order)
+    basis = identity_basis(5) if basis == "identity" else random_orthonormal_basis(5, 3)
+    x = np.linspace(-2.0, 3.0, 5)
+    dgs_gradient(f, x, 0.5, rule, basis)
+    for nodes in _gh_nodes(basis.columns, rule, f.sines)([0.5, 0.25, 0.5]):
+        _gh_gradient(f, x, nodes)
+    rec = run(f, x, SigmaSchedule(0.5, 0, 0.5), rule, basis, 1e-3, 4)
+    assert rec.iterations_run == 4 and len(batches) == 1 + 3 + 4 + 1  # + the objective column
+    for points in batches[:-1]:
+        assert points.shape == (5 * order, 5)
+        assert points.flags.f_contiguous and not points.flags.c_contiguous
+
+
+@pytest.mark.parametrize("order", [5, 40])
+@pytest.mark.parametrize("basis", ["identity", "random"])
+@pytest.mark.parametrize("kind", ["periodic", "bandlimited", "diminishing", "none"])
+def test_the_coordinate_major_batch_keeps_the_bits_up_to_7_dimensions(order, basis, kind):
+    # numpy adds fewer than 8 coordinates of a row one after the other, as
+    # it adds the columns of an F-ordered batch: the same bits at d <= 7
+    rng, rule = np.random.default_rng(order), build_gh_rule(order)
+    for d in range(1, 8):
+        f = _noisy(kind, d)
+        directions = identity_basis(d) if basis == "identity" else random_orthonormal_basis(d, d)
+        for x in rng.uniform(-20.0, 20.0, (5, d)):
+            for sigma in (0.01, 1.0, 10.0):
+                got = dgs_gradient(f, x, sigma, rule, directions)
+                want = dgs_gradient(_c_ordered(f), x, sigma, rule, directions)
+                assert got.tobytes() == want.tobytes(), (d, x, sigma)
+
+
+@pytest.mark.parametrize("d", [8, 10, 16])
+def test_the_coordinate_major_batch_sums_8_or_more_coordinates_in_another_order(d):
+    # numpy pairwise-sums a contiguous row of 8 or more values, and adds the
+    # columns one after the other, so the last bits move. Two orders of a
+    # sum of d terms differ by at most 2 (d - 1) u times the sum of their
+    # sizes: the estimates agree within d eps of the GH terms' sizes, the
+    # factor times sum_m |w_m v_m| |F| (measured: at most 1.5 eps).
+    rng, eps = np.random.default_rng(d), np.finfo(float).eps
+    for kind in ("periodic", "bandlimited", "diminishing", "none"):
+        f = _noisy(kind, d)
+        for order in (5, 40):
+            rule = build_gh_rule(order)
+            for basis in (identity_basis(d), random_orthonormal_basis(d, 3)):
+                for x in rng.uniform(-20.0, 20.0, (3, d)):
+                    for sigma in (0.01, 1.0, 10.0):
+                        got = dgs_gradient(f, x, sigma, rule, basis)
+                        want = dgs_gradient(_c_ordered(f), x, sigma, rule, basis)
+                        offsets, weights, scale = _gh_nodes(basis.columns, rule)([sigma])[0][:3]
+                        values = (f.evaluate if f.sines is None else f.sines[0])(x + offsets)
+                        sizes = scale * (np.abs(values).reshape(d, order) @ np.abs(weights))
+                        assert np.linalg.norm(got - want) <= d * eps * np.linalg.norm(sizes)

@@ -156,7 +156,9 @@ class TestNoiseGradientBounds:
 
     # Each raised, returned NaN or returned inf at a finite value: an
     # intermediate (gamma sqrt(d), (2 pi alpha)^(1 - n), 1/a, dist^2, beta^2,
-    # gamma1^2, L^2) overflowed or underflowed where the value did not.
+    # gamma1^2, L^2, tau L, sigma^(4M - 2)) overflowed or underflowed where
+    # the value did not; but rate-tiny-tau-L-beta-unscaled, which the plain
+    # formula gets right and a scaling by L's exponent alone did not.
     @pytest.mark.parametrize("bound,reference,args", [
         (bandlimited_noise_grad_bound, _bandlimited_50, (1e308, 1.0, 0.5, 5)),
         (periodic_noise_grad_bound, _periodic_50, (1e308, 1, 1.0, 0.5, 5)),
@@ -168,13 +170,21 @@ class TestNoiseGradientBounds:
         (diminishing_noise_grad_bound, _diminishing_50, (1e-3, 0.5, 1e200, 5)),
         (diminishing_noise_grad_bound, _diminishing_50, (1e-300, 1.0, 1e10, 5)),
         (diminishing_rate, _rate_50, (LT, 1e300, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e200, 1.0), 1e-3, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(4.5e206, 5.9e154), 4.4e179, 69)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1.5e-257, 1.5e-257), 1e-3, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e200, 1e-120), 1e-3, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e150, 1e-158), 1e-160, 5)),
         (delta_sigma_periodic, _delta_50, (LT, 1e200, 1.0, 0.5, 5, 5)),
         (delta_sigma_periodic, _delta_50, (LT, 1.0, 1e200, 0.5, 5, 5)),
         (delta_sigma_periodic, _delta_50, (ConvexityConstants(1e200, 1e200), 1.0, 1.0, 0.5, 5, 5)),
+        (delta_sigma_periodic, _delta_50, (LT, 1.0, 1.0, 1e100, 5, 5)),
     ], ids=["bandlimited-huge-gamma", "periodic-huge-gamma", "periodic-n3-tiny-alpha",
             "periodic-n100-tiny-sigma", "periodic-n1-tiny-sigma", "periodic-n2-tiny-sigma",
             "periodic-n30-huge-power", "diminishing-huge-dist", "diminishing-tiny-beta",
-            "rate-huge-beta", "delta-huge-gamma", "delta-huge-alpha", "delta-huge-L-tau"])
+            "rate-huge-beta", "rate-huge-L", "rate-huge-L-tau-beta", "rate-tiny-L-tau",
+            "rate-huge-L-over-tau", "rate-tiny-tau-L-beta-unscaled",
+            "delta-huge-gamma", "delta-huge-alpha", "delta-huge-L-tau", "delta-huge-sigma"])
     def test_bounds_at_extreme_valid_inputs_match_50_digit_values(self, bound, reference, args):
         with mpmath.workdps(50):
             want = float(reference(*args))  # inf or 0.0 beyond the float range
@@ -254,6 +264,11 @@ class TestDiscrepancyAndRates:
         # values from 50-digit arithmetic; the factorials and sigma^(4M - 2)
         # overflow a float on their own
         np.testing.assert_allclose(gh_error_term(5, sigma, order), value, rtol=1e-14)
+
+    def test_gh_error_term_beyond_the_float_range_raises(self):
+        # as documented; delta_sigma_periodic takes it in log space (delta-huge-sigma)
+        with pytest.raises(OverflowError):
+            gh_error_term(5, 1e100, 5)
 
     def test_gh_error_term_is_finite_at_every_valid_order(self):
         for order in range(1, 65):

@@ -2,7 +2,9 @@
 what a cold `import dgs_opt` loads, each checked in a fresh interpreter; the
 test extra's packages, checked against the test files' imports; the parsers
 of `tools/bench_record.py`, on canned output; and the summary, `--workload`
-option and `src_lines` line of `tools/bench_pairs.py`, on fixed numbers."""
+option and `src_lines` line of `tools/bench_pairs.py`, on fixed numbers;
+`tools/step_costs.py` at a tiny repeat count, and its parts against the
+estimate they time."""
 import ast
 import importlib.util
 import json
@@ -258,3 +260,49 @@ def test_bench_pairs_prints_each_trees_src_lines_from_its_meta_lines():
     after = [{"exit_code": 0, "meta": {**_META, "src_lines": 1873}}]
     assert src_lines(before, after) == "src_lines         1876 -> 1873"
     assert src_lines([failed], after) == "src_lines         - -> 1873"
+
+
+def test_step_costs_times_each_part_of_an_estimate_at_each_workload():
+    # a tiny repeat count: one timeit repeat of each part
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "step_costs.py"), "--repeats",
+                           "1"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"# machine: \d+ CPUs \(.+\), Python [\d.]+, numpy \S+", lines[0])
+    parts = {"phi": ["x + offsets", "phi", "GH c_einsum", "sine-sum term", "map back",
+                     "estimate", "run step"]}
+    parts["evaluate"] = [p if p != "phi" else "evaluate" for p in parts["phi"]]
+    blocks = [("periodic-m5", "phi"), ("bandlimited-m40", "phi"), ("theorem3-cli", "evaluate")]
+    assert len(lines) == 1 + 8 * len(blocks)
+    for i, (name, kind) in enumerate(blocks):
+        block = lines[1 + 8 * i: 9 + 8 * i]
+        assert block[0] == f"{name} (sigma 1):"
+        assert [line[2:16].rstrip() for line in block[1:]] == parts[kind]
+        for part, line in zip(parts[kind], block[1:]):
+            cost = line[17:]
+            if part == "sine-sum term" and kind == "evaluate":
+                assert cost == "-"
+            elif part == "run step":  # a difference of two runs, which noise can turn negative
+                assert re.fullmatch(r" *-?\d+\.\d\d us", cost), line
+            else:
+                assert re.fullmatch(r" *\d+\.\d\d us", cost) and float(cost[:-3]) > 0, line
+
+
+def test_step_costs_parts_give_the_estimate_bit_for_bit_at_each_workload():
+    # the parts retype smoothing._gh_gradient's steps; this keeps the copy in step
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("step_costs", ROOT / "tools" / "step_costs.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    from dgs_opt.smoothing import _gh_gradient
+    bases = set()
+    for name in module.WORKLOADS:
+        f, _, basis, _, x, nodes = module.workload_shape(name)
+        parts, estimate = module.estimate_by_parts(f, x, nodes)
+        assert estimate.tobytes() == _gh_gradient(f, x, nodes).tobytes(), name
+        assert (parts["sine-sum term"] is None) == (f.sines is None), name
+        bases.add(nodes[4])  # identity or not: both maps back are covered
+    assert bases == {True, False}
