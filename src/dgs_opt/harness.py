@@ -293,12 +293,21 @@ def build_objective(config: ExperimentConfig) -> Objective:
     return _OBJECTIVE_KINDS[config.objective_kind].build(config.dimension, noise)
 
 
+_SWEEP_OBJECTIVE = (None, None)  # the last config run_trial was given, and its objective
+
+
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialRecord:
-    """One seeded run at one sigma grid point. Safe to call from workers."""
+    """One seeded run at one sigma grid point. Safe to call from workers.
+    Trials given the same config object in a row share one build_objective
+    call, and so their objective's node builds (smoothing._builder)."""
+    global _SWEEP_OBJECTIVE
     seed = mix_seed(config.master_seed, grid_index, trial_index)
     sigma0 = config.sigma_values[grid_index]
+    memo = _SWEEP_OBJECTIVE  # read once: another thread may replace it
+    if memo[0] is not config:
+        memo = _SWEEP_OBJECTIVE = config, build_objective(config)
     return run(
-        objective=build_objective(config),
+        objective=memo[1],
         initial_point=np.random.default_rng(seed).uniform(*config.box, size=config.dimension),
         schedule=_SCHEDULE_KINDS[config.schedule_kind].build(config, sigma0),
         rule=build_gh_rule(config.quadrature_order),
@@ -344,9 +353,9 @@ def mean_trace(traces, mean=np.mean) -> np.ndarray:
     """Mean over trials of one trace, taken by ``mean`` (np.nanmean skips
     NaN). Each trial's trace is padded with its last value to the longest
     trace given, so trials that stopped early hold their final value."""
-    length = max(map(len, traces))
-    padded = [np.pad(np.asarray(t, dtype=float), (0, length - len(t)), mode="edge")
-              for t in traces]
+    padded = np.empty((len(traces), max(map(len, traces))))
+    for row, trace in zip(padded, traces):
+        row[:len(trace)], row[len(trace):] = trace, trace[-1]
     with warnings.catch_warnings():
         # the final cosine is NaN in every trial; the all-NaN mean is fine
         warnings.simplefilter("ignore", RuntimeWarning)

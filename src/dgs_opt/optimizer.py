@@ -9,7 +9,7 @@ import numpy as np
 
 from .quadrature import GHRule
 from .smoothing import (SIGMA_FLOOR, DirectionBasis, EvaluationError, Objective,
-                        _block_size, _gh_gradient, _gh_nodes)
+                        _block_size, _builder, _gh_gradient)
 # unused by run, but perfbench/tracing.py patches optimizer.dgs_gradient by name
 from .smoothing import dgs_gradient  # noqa: F401
 from .theory import ConvexityConstants, diminishing_rate
@@ -90,7 +90,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).ravel()
 
 
-@np.errstate(over="ignore")  # an overflow is an inf that ends the trial diverged, not a warning
+# an overflow's inf, or an invalid operation's NaN, ends the trial diverged, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule,
         rule: GHRule, basis: DirectionBasis, step_size: float,
         max_iterations: int) -> TrialRecord:
@@ -104,20 +105,20 @@ def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule
     always ends at the last finite iterate. At a new radius with none built
     ahead, the loop reads up to a block of radii ahead from sigma_at (to
     max_iterations or the first below SIGMA_FLOOR) and builds the new ones in
-    one _gh_nodes call, so a constant radius is built once per trial. Each
-    estimate is _gh_gradient's, as in dgs_gradient. The objective and cosine
-    columns are computed after the loop, from the stacked iterates.
+    one nodes_at call of _builder's, so a constant radius is built once per
+    trial, and once for trials in a row that share the objective, rule and
+    basis. Each estimate is _gh_gradient's, as in dgs_gradient. The objective
+    and cosine columns are computed after the loop, from the stacked iterates.
     """
     f, columns, last = objective, basis.columns, max_iterations
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if isinstance(last, bool) or not isinstance(last, (int, np.integer)) or last < 1:
         raise ValueError(f"max_iterations must be an integer >= 1, got {last!r}")
-    d, nodes_at = f.dimension, _gh_nodes(columns, rule, f.sines)
-    x = np.array(initial_point, dtype=float)
+    d, x = f.dimension, np.array(initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
         raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
-    size = _block_size(columns, rule, f.sines)
+    nodes_at, size = _builder(f, rule, basis), _block_size(columns, rule, f.sines)
 
     iterates = [x]
     estimates: list[np.ndarray] = []

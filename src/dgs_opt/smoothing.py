@@ -6,6 +6,7 @@ approximated by Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -94,7 +95,8 @@ class DirectionBasis:
         cols = np.array(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise ValueError(f"basis must be a square matrix, got shape {cols.shape}")
-        if not np.allclose(cols.T @ cols, np.eye(len(cols)), atol=1e-12):
+        # all(<=), not max: False at NaN, and True for an empty matrix
+        if not (abs(cols.T @ cols - np.eye(len(cols))) <= 1e-12).all():
             raise ValueError("basis columns are not orthonormal to 1e-12")
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
@@ -104,7 +106,10 @@ class DirectionBasis:
         return self.columns.shape[0]
 
 
+@functools.lru_cache(typed=True)
 def identity_basis(d: int) -> DirectionBasis:
+    """The d x d identity basis, built once per process: later calls return
+    the same object, so the trials of a sweep share its node builds (_builder)."""
     return DirectionBasis(np.eye(d))
 
 
@@ -121,6 +126,11 @@ def random_orthonormal_basis(d: int, seed: int) -> DirectionBasis:
     return DirectionBasis(q * signs)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequence[float]], list]:
     """The builder, many radii at once, of what a Gauss-Hermite estimate along
     each column xi of ``columns`` (d x k) needs besides x and F: per float
@@ -135,27 +145,51 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
     cancels and the sin q part doubles. So the sine sum adds
     sum_ij table[k, j, i] cos(p_ij) to direction k's sum: d * J cosines for
     any M, where table[k, j, i] = 2 weight sum_(v_m > 0) w_m v_m sin(q_kmij).
-    The rest is built once."""
+    The rest is built once. The arrays handed out are read-only, and a call
+    with the radii of the one before returns that call's nodes again."""
     d = len(columns)
-    nodes, coefficients = rule.nodes[:, None], rule.weights * rule.nodes
+    nodes, coefficients = rule.nodes[:, None], _read_only(rule.weights * rule.nodes)
     # C-ordered directions give C-ordered tables, whose contraction's bits follow their layout
     directions = np.ascontiguousarray(columns.T)[:, None, :]
     identity, rates = np.array_equal(columns, np.eye(d)), None
     if sines is not None:
-        rates = np.ascontiguousarray(_TWO_PI * np.transpose(sines[1]))  # (J, d)
+        rates = _read_only(np.ascontiguousarray(_TWO_PI * np.transpose(sines[1])))  # (J, d)
         positive = slice((rule.order + 1) // 2, None)  # nodes increase from -v to v
         halves = (2.0 * sines[2]) * coefficients[positive]
         units = (nodes[positive] * directions)[:, :, None, :] * rates  # q / (sqrt(2) sigma)
 
+    last = ((), [])  # the radii of the last call and their nodes, replaced as one
+
     def nodes_at(radii: Sequence[float]) -> list:
+        nonlocal last
+        radii, (last_radii, last_built) = tuple(radii), last
+        if radii == last_radii:
+            return last_built[:]
         scaled = _SQRT2 * np.array(radii, dtype=float)
-        offsets = (scaled[:, None] * rule.nodes)[:, None, None, :] * columns[:, :, None]
-        tables = [None] * len(radii) if sines is None else c_einsum(
-            "m,nkmji->nkji", halves, np.sin(scaled[:, None, None, None, None] * units))
-        return [(o.T, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
-                for o, sigma, table in zip(offsets.reshape(len(radii), d, -1), radii, tables)]
+        offsets = _read_only((scaled[:, None] * rule.nodes)[:, None, None, :] * columns[:, :, None])
+        tables = [None] * len(radii) if sines is None else _read_only(c_einsum(
+            "m,nkmji->nkji", halves, np.sin(scaled[:, None, None, None, None] * units)))
+        built = [(o.T, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
+                 for o, sigma, table in zip(offsets.reshape(len(radii), d, -1), radii, tables)]
+        last = radii, built
+        return built[:]
 
     return nodes_at
+
+
+_BUILDER = None  # the last _builder key and its nodes_at: (basis, rule, f, f.sines, nodes_at)
+
+
+def _builder(f: Objective, rule: GHRule, basis: DirectionBasis) -> Callable:
+    """_gh_nodes(basis.columns, rule, f.sines), from a one-entry cache keyed
+    on the objects themselves (``is``), f.sines included: the trials of a
+    sweep that share an objective and a basis (the identity) share one
+    builder, and so a radius's build when they ask for the same radii."""
+    global _BUILDER
+    key, cached = (basis, rule, f, f.sines), _BUILDER
+    if cached is None or any(a is not b for a, b in zip(key, cached)):
+        cached = _BUILDER = (*key, _gh_nodes(basis.columns, rule, f.sines))
+    return cached[-1]
 
 
 def _block_size(columns: np.ndarray, rule: GHRule, sines=None) -> int:
@@ -215,4 +249,4 @@ def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
     if f.dimension != len(columns):
         raise ValueError(f"objective is {f.dimension}-dimensional, "
                          f"basis and point are {len(columns)}-dimensional")
-    return _gh_gradient(f, x, _gh_nodes(columns, rule, f.sines)([sigma])[0])
+    return _gh_gradient(f, x, _builder(f, rule, basis)([sigma])[0])

@@ -198,11 +198,16 @@ def diminishing_rate(constants: ConvexityConstants, beta: float, d: int) -> floa
     beta sqrt(2 L^2 pi + beta^2) < (pi / (32 d)) * 8 tau^2 L / (48 L + 3 tau).
     The plain formula wherever L L and tau L are normal floats; elsewhere L, tau
     and beta are first scaled alike (the rate does not change) by the power of
-    two that brings tau L nearest 1 with L L and tau normal, if one does."""
+    two that brings tau L nearest 1 with L L and tau normal. Past L/tau =
+    2^1530 none does; there tau/(32 L) and 3/(8 L^2), below 2^-1534 of 1 and
+    of 6/(tau L), drop out, and the root is L hypot(sqrt(2 pi), beta/L)."""
     L, tau = constants.L, constants.tau
     if not (L * L < math.inf and tau * L >= 2.0**-1022):  # 2^-1022: the least normal
-        e_L, e_tau = math.frexp(L)[1], math.frexp(tau)[1]  # none does past L/tau = 2^1530
-        exponent = min(-((e_L + e_tau) // 2), 510 - e_L) if e_L - e_tau <= 1530 else 0
+        e_L, e_tau = math.frexp(L)[1], math.frexp(tau)[1]
+        if e_L - e_tau > 1530:
+            root_over_L = math.hypot(math.sqrt(2.0 * math.pi), beta / L)
+            return 1.0 + 6.0 * d * (beta / tau) * root_over_L / math.pi
+        exponent = min(-((e_L + e_tau) // 2), 510 - e_L)
         try:
             L, tau, beta = (math.ldexp(v, exponent) for v in (L, tau, beta))
         except OverflowError:  # a scaled beta beyond the float range, and so the rate

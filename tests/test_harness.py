@@ -35,7 +35,8 @@ from dgs_opt import (
     run_trial,
     sample_bandlimited,
 )
-from dgs_opt import harness, plotting
+from dgs_opt import harness, plotting, smoothing
+from dgs_opt import noise as noise_mod
 from dgs_opt.cli import build_parser, main as cli_main
 from dgs_opt.harness import (SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummary, read_sweep,
                              write_trace_csv)
@@ -341,6 +342,67 @@ class TestRunExperiment:
         with pytest.raises(OutputError, match="cannot create output directory"):
             run_experiment(parse_config(base_doc()), out_dir=path)
         assert calls == []
+
+    def test_a_sweep_draws_its_bandlimited_noise_once(self, monkeypatch):
+        # the trials of a sweep share one objective, so at --jobs 1 the
+        # noise is drawn once for all six of them
+        cfg = parse_config(base_doc(noise={"kind": "bandlimited", "alpha0": 1.0},
+                                    sigma_grid=[0.5, 1.0, 2.0], max_iterations=3))
+        calls, draw = [], noise_mod.sample_bandlimited
+        monkeypatch.setattr(noise_mod, "sample_bandlimited",
+                            lambda *a, **k: calls.append(a) or draw(*a, **k))
+        run_experiment(cfg, jobs=1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("basis", ["identity", "random"])
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "constant"},
+        {"kind": "two-phase-decay", "switch_iteration": 3, "contraction": 0.9},
+    ], ids=["constant", "two-phase"])
+    def test_a_trial_has_the_same_bytes_whatever_the_caches_hold(self, schedule, basis,
+                                                                 monkeypatch):
+        # from empty caches; again; after the other trial at its grid point,
+        # which built the same radii; and after another config's trial
+        cfg = parse_config(base_doc(noise={"kind": "bandlimited", "alpha0": 1.0},
+                                    schedule=schedule, basis=basis, max_iterations=12))
+        other = parse_config(base_doc(max_iterations=12))
+        monkeypatch.setattr(smoothing, "_BUILDER", None)
+        monkeypatch.setattr(harness, "_SWEEP_OBJECTIVE", (None, None))
+
+        def dump(record):
+            return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(record).values()]
+
+        cold = dump(run_trial(cfg, 1, 0))
+        assert dump(run_trial(cfg, 1, 0)) == cold
+        run_trial(cfg, 1, 1)
+        assert dump(run_trial(cfg, 1, 0)) == cold
+        run_trial(other, 1, 0)
+        assert dump(run_trial(cfg, 1, 0)) == cold
+
+    def test_threads_sharing_the_caches_get_each_trial_s_own_bytes(self):
+        # run_trial's objective memo and the builder cache are replaced by
+        # whichever thread misses last; each trial must still get its own
+        # objective and nodes: more threads than cores, interleaving two
+        # configs' trials with a short switch interval
+        configs = [parse_config(base_doc(noise=noise, sigma_grid=[0.5, 1.0, 2.0],
+                                         max_iterations=8))
+                   for noise in ({"kind": "bandlimited", "alpha0": 1.0},
+                                 {"kind": "periodic", "alpha": 2.0})]
+        tasks = [(c, g, t) for g in range(3) for t in range(2) for c in configs] * 4
+
+        def dump(task):
+            record = run_trial(*task)
+            return record.iterates.tobytes() + record.sigmas.tobytes()
+
+        want = [dump(task) for task in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(6) as pool:
+                got = list(pool.map(dump, tasks, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_bandlimited_csvs_match_the_plain_formula(self, tmp_path):
         # the estimates take the noise from its tables; the objective column
@@ -963,11 +1025,15 @@ class TestCli:
     @pytest.mark.parametrize("objective,noise", [
         ("power-sum-sqrt", {"kind": "periodic", "alpha": 1.0}),
         ("quadratic", {"kind": "none"}),
+        ("power-sum-sqrt", {"kind": "bandlimited", "alpha0": 1.0}),
+        ("quadratic", {"kind": "diminishing"}),
     ])
     def test_a_box_near_the_float_limit_runs_without_a_warning(self, objective, noise,
                                                                tmp_path, capsys):
         # phi's power or square at the first estimate's nodes printed numpy's
-        # "overflow encountered in ..." before the trials ended diverged
+        # "overflow encountered in ..." before the trials ended diverged; the
+        # sine sum's cosines and sines of inf phases, and inf plus -inf in
+        # the diminishing noise, printed "invalid value encountered in ..."
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_doc(
             objective={"kind": objective, "dimension": 3, "box": [1e307, 1.5e307]},

@@ -630,21 +630,23 @@ def _changes(radii, last=None):
 ])
 def test_each_stepped_radius_is_built_once_a_block_at_a_time(case, max_iterations, new_radii,
                                                               monkeypatch):
-    # the rule's and the basis's share is shaped once per trial; the radii
-    # are read once each, in step order, up to a block ahead and never past
-    # the first below the floor; each block's new radii are built in one
-    # call, so a constant radius is built once per trial, and none below the
-    # floor or at max_iterations; the look-ahead reads at most one block
-    # past the stop, and builds at most what it read
+    # from an empty builder cache, the rule's and the basis's share is
+    # shaped once per trial; the radii are read once each, in step order, up
+    # to a block ahead and never past the first below the floor; each
+    # block's new radii are built in one call, so a constant radius is built
+    # once per trial, and none below the floor or at max_iterations; the
+    # look-ahead reads at most one block past the stop, and builds at most
+    # what it read
     builders, blocks, read = [], [], []
-    gh_nodes, read_sigma = dgs_opt.optimizer._gh_nodes, dgs_opt.optimizer.sigma_at
+    gh_nodes, read_sigma = dgs_opt.smoothing._gh_nodes, dgs_opt.optimizer.sigma_at
 
     def counted(directions, rule, sines=None):
         nodes_at = gh_nodes(directions, rule, sines)
         builders.append(rule)
         return lambda radii: blocks.append(list(radii)) or nodes_at(radii)
 
-    monkeypatch.setattr(dgs_opt.optimizer, "_gh_nodes", counted)
+    monkeypatch.setattr(dgs_opt.smoothing, "_BUILDER", None)
+    monkeypatch.setattr(dgs_opt.smoothing, "_gh_nodes", counted)
     monkeypatch.setattr(dgs_opt.optimizer, "sigma_at",
                         lambda schedule, t: read.append(t) or read_sigma(schedule, t))
     overrides = dict(_STOP_CASES[case][0], rule=build_gh_rule(7))

@@ -52,8 +52,11 @@ class TestBases:
         assert not np.array_equal(a.columns, c.columns)
 
     def test_non_orthonormal_columns_rejected(self):
-        with pytest.raises(ValueError):
-            DirectionBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        for columns in (np.array([[1.0, 1.0], [0.0, 1.0]]),
+                        np.eye(3) * (1 + 4e-6),  # |Q^T Q - I| = 8e-6: within allclose's rtol
+                        np.diag([1.0, np.nan])):
+            with pytest.raises(ValueError, match="not orthonormal to 1e-12"):
+                DirectionBasis(columns)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -524,3 +527,37 @@ def test_the_coordinate_major_batch_sums_8_or_more_coordinates_in_another_order(
                         values = (f.evaluate if f.sines is None else f.sines[0])(x + offsets)
                         sizes = scale * (np.abs(values).reshape(d, order) @ np.abs(weights))
                         assert np.linalg.norm(got - want) <= d * eps * np.linalg.norm(sizes)
+
+
+def test_dgs_gradient_twice_at_one_radius_builds_once(monkeypatch):
+    # the second call gets the first call's builder and its radius's nodes,
+    # read-only, and so the same bits as a build of its own
+    from dgs_opt import smoothing
+
+    f = power_sum_sqrt_objective(5, noise=sample_bandlimited(5, 1.0, 20, seed=3))
+    rule, basis, x = build_gh_rule(9), identity_basis(5), np.linspace(-1.0, 1.0, 5)
+    builders, given = [], []
+    monkeypatch.setattr(smoothing, "_gh_nodes", lambda *a: builders.append(a) or _gh_nodes(*a))
+    monkeypatch.setattr(smoothing, "_gh_gradient",
+                        lambda f, x, nodes: given.append(nodes) or _gh_gradient(f, x, nodes))
+    first = dgs_gradient(f, x, 0.5, rule, basis)
+    second = dgs_gradient(f, x, 0.5, rule, basis)
+    assert len(builders) == 1 and given[0] is given[1]
+    assert not any(a.flags.writeable for a in given[0] if isinstance(a, np.ndarray))
+    fresh = _gh_gradient(f, x, _gh_nodes(basis.columns, rule, f.sines)([0.5])[0])
+    assert first.tobytes() == second.tobytes() == fresh.tobytes()
+
+
+def test_an_objective_whose_sines_were_replaced_gets_no_stale_table():
+    # the builder cache is keyed on the objective's sines as well as on the
+    # objective: an estimate or a run after the replacement builds the new
+    # noise's table, though the cache holds the objective's old one
+    rule, basis, x = build_gh_rule(7), identity_basis(5), np.linspace(-1.0, 1.0, 5)
+    calls = [lambda h: dgs_gradient(h, x, 0.5, rule, basis),
+             lambda h: run(h, x, SigmaSchedule(0.5), rule, basis, 0.01, 5).iterates]
+    for call in calls:
+        f = power_sum_sqrt_objective(5, noise=PeriodicNoise(1.0))
+        g = power_sum_sqrt_objective(5, noise=PeriodicNoise(3.0))
+        before = call(f).tobytes()
+        f.sines, f.evaluate = g.sines, g.evaluate
+        assert call(f).tobytes() == call(g).tobytes() != before

@@ -175,6 +175,10 @@ class TestNoiseGradientBounds:
         (diminishing_rate, _rate_50, (ConvexityConstants(1.5e-257, 1.5e-257), 1e-3, 5)),
         (diminishing_rate, _rate_50, (ConvexityConstants(1e200, 1e-120), 1e-3, 5)),
         (diminishing_rate, _rate_50, (ConvexityConstants(1e150, 1e-158), 1e-160, 5)),
+        # past L/tau = 2^1530, where no power of two keeps L L and tau normal
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e300, 1e-300), 1e-3, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e300, 1e-300), 1e-300, 5)),
+        (diminishing_rate, _rate_50, (ConvexityConstants(1e300, 1e-200), 5e-324, 5)),
         (delta_sigma_periodic, _delta_50, (LT, 1e200, 1.0, 0.5, 5, 5)),
         (delta_sigma_periodic, _delta_50, (LT, 1.0, 1e200, 0.5, 5, 5)),
         (delta_sigma_periodic, _delta_50, (ConvexityConstants(1e200, 1e200), 1.0, 1.0, 0.5, 5, 5)),
@@ -183,7 +187,8 @@ class TestNoiseGradientBounds:
             "periodic-n100-tiny-sigma", "periodic-n1-tiny-sigma", "periodic-n2-tiny-sigma",
             "periodic-n30-huge-power", "diminishing-huge-dist", "diminishing-tiny-beta",
             "rate-huge-beta", "rate-huge-L", "rate-huge-L-tau-beta", "rate-tiny-L-tau",
-            "rate-huge-L-over-tau", "rate-tiny-tau-L-beta-unscaled",
+            "rate-huge-L-over-tau", "rate-tiny-tau-L-beta-unscaled", "rate-past-2^1530",
+            "rate-past-2^1530-tiny-beta", "rate-past-2^1530-subnormal-beta",
             "delta-huge-gamma", "delta-huge-alpha", "delta-huge-L-tau", "delta-huge-sigma"])
     def test_bounds_at_extreme_valid_inputs_match_50_digit_values(self, bound, reference, args):
         with mpmath.workdps(50):

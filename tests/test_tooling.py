@@ -270,19 +270,19 @@ def test_step_costs_times_each_part_of_an_estimate_at_each_workload():
     lines = done.stdout.splitlines()
     assert re.fullmatch(r"# machine: \d+ CPUs \(.+\), Python [\d.]+, numpy \S+", lines[0])
     parts = {"phi": ["x + offsets", "phi", "GH c_einsum", "sine-sum term", "map back",
-                     "estimate", "run step"]}
+                     "estimate", "run step", "trial setup", "aggregation"]}
     parts["evaluate"] = [p if p != "phi" else "evaluate" for p in parts["phi"]]
     blocks = [("periodic-m5", "phi"), ("bandlimited-m40", "phi"), ("theorem3-cli", "evaluate")]
-    assert len(lines) == 1 + 8 * len(blocks)
+    assert len(lines) == 1 + 10 * len(blocks)
     for i, (name, kind) in enumerate(blocks):
-        block = lines[1 + 8 * i: 9 + 8 * i]
+        block = lines[1 + 10 * i: 11 + 10 * i]
         assert block[0] == f"{name} (sigma 1):"
         assert [line[2:16].rstrip() for line in block[1:]] == parts[kind]
         for part, line in zip(parts[kind], block[1:]):
             cost = line[17:]
             if part == "sine-sum term" and kind == "evaluate":
                 assert cost == "-"
-            elif part == "run step":  # a difference of two runs, which noise can turn negative
+            elif part in ("run step", "trial setup"):  # differences, which noise can turn negative
                 assert re.fullmatch(r" *-?\d+\.\d\d us", cost), line
             else:
                 assert re.fullmatch(r" *\d+\.\d\d us", cost) and float(cost[:-3]) > 0, line

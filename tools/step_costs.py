@@ -13,10 +13,12 @@ for an objective without a sine sum) on the k * M points; the GH
 ``c_einsum``; the sine sum's term (its cosines and the table's contraction;
 "-" without one); and the map back to standard coordinates. Then the whole
 estimate and one step of ``run``: the difference between a run of ``STEPS``
-steps and a run of one, per step. Each time is the fastest of ``--repeats``
-timeit repeats of ``NUMBER`` calls (runs: one call). It prints microseconds
-per part, one line each, after a machine line (CPU count, processor, Python
-and numpy versions).
+steps and a run of one, per step. Then the fixed costs of a sweep (see
+``sweep_costs``): "trial setup", what a trial costs besides its steps, and
+"aggregation", what ``run_experiment`` costs besides its trials. Each time
+is the fastest of ``--repeats`` timeit repeats of ``NUMBER`` calls (runs and
+sweeps: one call). It prints microseconds per part, one line each, after a
+machine line (CPU count, processor, Python and numpy versions).
 """
 from __future__ import annotations
 
@@ -96,7 +98,36 @@ def step_costs(name: str, repeats: int) -> dict:
     taken = run_for(STEPS).iterations_run
     costs["run step"] = None if taken < 2 else (
         fastest(lambda: run_for(STEPS), 1) - fastest(lambda: run_for(1), 1)) / (taken - 1)
-    return costs
+    return {**costs, **sweep_costs(name, repeats, costs["estimate"])}
+
+
+def sweep_costs(name: str, repeats: int, estimate_us: float) -> dict:
+    """Microseconds of workload ``name``'s fixed costs per sweep, from its
+    master seed 0 config. "trial setup": the trials of a sweep of 1-step
+    trials, run_trial by run_trial on a config parsed afresh for each
+    repeat (as each sweep parses its own), per trial, minus one estimate.
+    "aggregation": run_experiment without output files, with run_trial
+    handing out the sweep's records made beforehand, per sweep."""
+    doc = WORKLOADS[name].config_doc(0)
+    tasks = [(g, t) for g in range(len(doc["sigma_grid"])) for t in range(doc["trials"])]
+    fresh = {}
+
+    def trials(config) -> list:
+        return [harness.run_trial(config, g, t) for g, t in tasks]
+
+    setup = min(timeit.repeat(
+        lambda: trials(fresh["config"]), number=1, repeat=repeats,
+        setup=lambda: fresh.update(config=harness.parse_config({**doc, "max_iterations": 1}))))
+    config, run_trial = harness.parse_config(doc), harness.run_trial
+    records = dict(zip(tasks, trials(config)))
+    harness.run_trial = lambda config, g, t: records[g, t]
+    try:
+        aggregation = min(timeit.repeat(lambda: harness.run_experiment(config), number=1,
+                                        repeat=repeats))
+    finally:
+        harness.run_trial = run_trial
+    return {"trial setup": setup / len(tasks) * 1e6 - estimate_us,
+            "aggregation": aggregation * 1e6}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
