@@ -293,21 +293,12 @@ def build_objective(config: ExperimentConfig) -> Objective:
     return _OBJECTIVE_KINDS[config.objective_kind].build(config.dimension, noise)
 
 
-_SWEEP_OBJECTIVE = (None, None)  # the last config run_trial was given, and its objective
-
-
 def run_trial(config: ExperimentConfig, grid_index: int, trial_index: int) -> TrialRecord:
-    """One seeded run at one sigma grid point. Safe to call from workers.
-    Trials given the same config object in a row share one build_objective
-    call, and so their objective's node builds (smoothing._builder)."""
-    global _SWEEP_OBJECTIVE
+    """One seeded run at one sigma grid point. Safe to call from workers."""
     seed = mix_seed(config.master_seed, grid_index, trial_index)
     sigma0 = config.sigma_values[grid_index]
-    memo = _SWEEP_OBJECTIVE  # read once: another thread may replace it
-    if memo[0] is not config:
-        memo = _SWEEP_OBJECTIVE = config, build_objective(config)
     return run(
-        objective=memo[1],
+        objective=build_objective(config),
         initial_point=np.random.default_rng(seed).uniform(*config.box, size=config.dimension),
         schedule=_SCHEDULE_KINDS[config.schedule_kind].build(config, sigma0),
         rule=build_gh_rule(config.quadrature_order),

@@ -7,6 +7,7 @@ minimizer. Each evaluates in closed form and supports batched points.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +66,16 @@ class BandlimitedNoise:
         return self.frequencies, 1.0 / self.frequencies.shape[1]
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def sample_bandlimited(
     d: int, alpha0: float, num_components: int, seed: int
 ) -> BandlimitedNoise:
     """Draw a bandlimited noise whose wavelengths 1/alpha_ij are i.i.d.
     uniform on (0, 1/alpha0]. Wavelengths below MIN_WAVELENGTH are resampled
     (probability ~ MIN_WAVELENGTH * alpha0 per draw, so alpha0 is capped at
-    half of 1 / MIN_WAVELENGTH, beyond which the resampling would not end)."""
+    half of 1 / MIN_WAVELENGTH, beyond which the resampling would not end).
+    The noise is immutable, its frequencies read-only, so calls in a row with
+    the same arguments (a sweep's trials) share one draw."""
     if not 0 < alpha0 <= 0.5 / MIN_WAVELENGTH:
         raise ValueError(f"alpha0 must be in (0, {0.5 / MIN_WAVELENGTH:g}], got {alpha0}")
     if num_components < 1:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .quadrature import GHRule
 from .smoothing import (SIGMA_FLOOR, DirectionBasis, EvaluationError, Objective,
-                        _block_size, _builder, _gh_gradient)
+                        _block_size, _builder, _gh_gradient, _sines_key)
 # unused by run, but perfbench/tracing.py patches optimizer.dgs_gradient by name
 from .smoothing import dgs_gradient  # noqa: F401
 from .theory import ConvexityConstants, diminishing_rate
@@ -106,9 +106,10 @@ def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule
     ahead, the loop reads up to a block of radii ahead from sigma_at (to
     max_iterations or the first below SIGMA_FLOOR) and builds the new ones in
     one nodes_at call of _builder's, so a constant radius is built once per
-    trial, and once for trials in a row that share the objective, rule and
-    basis. Each estimate is _gh_gradient's, as in dgs_gradient. The objective
-    and cosine columns are computed after the loop, from the stacked iterates.
+    trial, and once for trials in a row that share the rule, the basis and
+    the sine sum's values. Each estimate is _gh_gradient's, as in
+    dgs_gradient. The objective and cosine columns are computed after the
+    loop, from the stacked iterates.
     """
     f, columns, last = objective, basis.columns, max_iterations
     if not 0 < step_size < math.inf:
@@ -118,7 +119,7 @@ def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule
     d, x = f.dimension, np.array(initial_point, dtype=float)
     if x.shape != (d,) or columns.shape != (d, d):  # checked once per trial, not per step
         raise ValueError(f"initial point {x.shape} or basis {columns.shape} is not {d}-dimensional")
-    nodes_at, size = _builder(f, rule, basis), _block_size(columns, rule, f.sines)
+    nodes_at, size = _builder(basis, rule, _sines_key(f.sines)), _block_size(columns, rule, f.sines)
 
     iterates = [x]
     estimates: list[np.ndarray] = []
@@ -140,7 +141,7 @@ def run(objective: Objective, initial_point: np.ndarray, schedule: SigmaSchedule
                         break
                 ahead = sigmas[t:]  # the last may be below the floor
                 new = [s for s, p in zip(ahead, [radius] + ahead) if p != s >= SIGMA_FLOOR]
-                built = nodes_at(new)[::-1]
+                built = list(nodes_at(new)[::-1])
             nodes, radius = built.pop(), sigma
         try:
             estimate = _gh_gradient(f, x, nodes)

@@ -101,10 +101,6 @@ class DirectionBasis:
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
-    @property
-    def dimension(self) -> int:
-        return self.columns.shape[0]
-
 
 @functools.lru_cache(typed=True)
 def identity_basis(d: int) -> DirectionBasis:
@@ -131,7 +127,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequence[float]], list]:
+def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequence[float]], tuple]:
     """The builder, many radii at once, of what a Gauss-Hermite estimate along
     each column xi of ``columns`` (d x k) needs besides x and F: per float
     sigma in ``radii``, with the bits of its build alone, ``nodes_at(radii)``
@@ -146,7 +142,7 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
     sum_ij table[k, j, i] cos(p_ij) to direction k's sum: d * J cosines for
     any M, where table[k, j, i] = 2 weight sum_(v_m > 0) w_m v_m sin(q_kmij).
     The rest is built once. The arrays handed out are read-only, and a call
-    with the radii of the one before returns that call's nodes again."""
+    with the radii of the one before returns that call's tuple again."""
     d = len(columns)
     nodes, coefficients = rule.nodes[:, None], _read_only(rule.weights * rule.nodes)
     # C-ordered directions give C-ordered tables, whose contraction's bits follow their layout
@@ -158,38 +154,37 @@ def _gh_nodes(columns: np.ndarray, rule: GHRule, sines=None) -> Callable[[Sequen
         halves = (2.0 * sines[2]) * coefficients[positive]
         units = (nodes[positive] * directions)[:, :, None, :] * rates  # q / (sqrt(2) sigma)
 
-    last = ((), [])  # the radii of the last call and their nodes, replaced as one
-
-    def nodes_at(radii: Sequence[float]) -> list:
-        nonlocal last
-        radii, (last_radii, last_built) = tuple(radii), last
-        if radii == last_radii:
-            return last_built[:]
+    @functools.lru_cache(maxsize=1)
+    def build(radii: tuple) -> tuple:
         scaled = _SQRT2 * np.array(radii, dtype=float)
         offsets = _read_only((scaled[:, None] * rule.nodes)[:, None, None, :] * columns[:, :, None])
         tables = [None] * len(radii) if sines is None else _read_only(c_einsum(
             "m,nkmji->nkji", halves, np.sin(scaled[:, None, None, None, None] * units)))
-        built = [(o.T, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table, rates)
-                 for o, sigma, table in zip(offsets.reshape(len(radii), d, -1), radii, tables)]
-        last = radii, built
-        return built[:]
+        return tuple((o.T, coefficients, _SQRT2 / (_SQRT_PI * sigma), columns, identity, table,
+                      rates)
+                     for o, sigma, table in zip(offsets.reshape(len(radii), d, -1), radii, tables))
 
-    return nodes_at
-
-
-_BUILDER = None  # the last _builder key and its nodes_at: (basis, rule, f, f.sines, nodes_at)
+    return lambda radii: build(tuple(radii))
 
 
-def _builder(f: Objective, rule: GHRule, basis: DirectionBasis) -> Callable:
-    """_gh_nodes(basis.columns, rule, f.sines), from a one-entry cache keyed
-    on the objects themselves (``is``), f.sines included: the trials of a
-    sweep that share an objective and a basis (the identity) share one
+def _sines_key(sines) -> Optional[tuple]:
+    """What _gh_nodes reads of an objective's ``sines``, as values that
+    rebuild it bit for bit (see _builder): None, or the (dtype, shape,
+    bytes) of alpha and of the weight."""
+    if sines is None:
+        return None
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, sines[1:]))
+
+
+@functools.lru_cache(maxsize=1)
+def _builder(basis: DirectionBasis, rule: GHRule, sines_key: Optional[tuple]) -> Callable:
+    """_gh_nodes(basis.columns, rule, sines) for the sines whose _sines_key is
+    ``sines_key``, built once for calls in a row with one key: the trials of
+    a sweep (one GH rule, and one identity basis per dimension) share one
     builder, and so a radius's build when they ask for the same radii."""
-    global _BUILDER
-    key, cached = (basis, rule, f, f.sines), _BUILDER
-    if cached is None or any(a is not b for a, b in zip(key, cached)):
-        cached = _BUILDER = (*key, _gh_nodes(basis.columns, rule, f.sines))
-    return cached[-1]
+    sines = sines_key and (None, *(np.frombuffer(data, dtype).reshape(shape)
+                                   for dtype, shape, data in sines_key))
+    return _gh_nodes(basis.columns, rule, sines)
 
 
 def _block_size(columns: np.ndarray, rule: GHRule, sines=None) -> int:
@@ -249,4 +244,4 @@ def dgs_gradient(f: Objective, x: np.ndarray, sigma: float, rule: GHRule,
     if f.dimension != len(columns):
         raise ValueError(f"objective is {f.dimension}-dimensional, "
                          f"basis and point are {len(columns)}-dimensional")
-    return _gh_gradient(f, x, _builder(f, rule, basis)([sigma])[0])
+    return _gh_gradient(f, x, _builder(basis, rule, _sines_key(f.sines))([sigma])[0])

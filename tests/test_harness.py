@@ -42,6 +42,11 @@ from dgs_opt.harness import (SUMMARY_HEADER, TRACE_HEADER, PlotData, SweepSummar
                              write_trace_csv)
 
 
+def _record_bytes(record: TrialRecord) -> list:
+    """A record's fields, each array as its bytes."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(record).values()]
+
+
 def base_doc(**overrides):
     doc = {
         "experiment": "periodic-sweep",
@@ -343,47 +348,56 @@ class TestRunExperiment:
             run_experiment(parse_config(base_doc()), out_dir=path)
         assert calls == []
 
-    def test_a_sweep_draws_its_bandlimited_noise_once(self, monkeypatch):
-        # the trials of a sweep share one objective, so at --jobs 1 the
-        # noise is drawn once for all six of them
+    def test_a_sweep_draws_its_bandlimited_noise_once(self):
+        # at --jobs 1 the six trials share the draw parse_config made to validate the noise
         cfg = parse_config(base_doc(noise={"kind": "bandlimited", "alpha0": 1.0},
                                     sigma_grid=[0.5, 1.0, 2.0], max_iterations=3))
-        calls, draw = [], noise_mod.sample_bandlimited
-        monkeypatch.setattr(noise_mod, "sample_bandlimited",
-                            lambda *a, **k: calls.append(a) or draw(*a, **k))
         run_experiment(cfg, jobs=1)
-        assert len(calls) == 1
+        assert noise_mod.sample_bandlimited.cache_info().misses == 1
+
+    def test_equal_configs_share_one_draw_and_one_node_build(self, monkeypatch):
+        # a fresh parse of one doc, as a later sweep or a --jobs worker's
+        # copy, finds the draw and the builder that the first one's trial made
+        builds, gh_nodes = [], smoothing._gh_nodes
+        monkeypatch.setattr(smoothing, "_gh_nodes", lambda *a: builds.append(a) or gh_nodes(*a))
+        doc = base_doc(noise={"kind": "bandlimited", "alpha0": 1.0})
+        for t in range(2):
+            run_trial(parse_config(doc), 1, t)
+        assert len(builds) == 1 and noise_mod.sample_bandlimited.cache_info().misses == 1
+
+    def test_a_noise_changed_in_place_after_a_trial_is_the_next_trial_s_noise(self):
+        # run_trial builds from the config's values as they are at the call
+        cfg = parse_config(base_doc())
+        run_trial(cfg, 0, 0)
+        cfg.noise_params["alpha"] = 3.0
+        fresh = parse_config(base_doc(noise={"kind": "periodic", "alpha": 3.0}))
+        assert _record_bytes(run_trial(cfg, 0, 0)) == _record_bytes(run_trial(fresh, 0, 0))
 
     @pytest.mark.parametrize("basis", ["identity", "random"])
     @pytest.mark.parametrize("schedule", [
         {"kind": "constant"},
         {"kind": "two-phase-decay", "switch_iteration": 3, "contraction": 0.9},
     ], ids=["constant", "two-phase"])
-    def test_a_trial_has_the_same_bytes_whatever_the_caches_hold(self, schedule, basis,
-                                                                 monkeypatch):
+    def test_a_trial_has_the_same_bytes_whatever_the_caches_hold(self, schedule, basis):
         # from empty caches; again; after the other trial at its grid point,
         # which built the same radii; and after another config's trial
         cfg = parse_config(base_doc(noise={"kind": "bandlimited", "alpha0": 1.0},
                                     schedule=schedule, basis=basis, max_iterations=12))
         other = parse_config(base_doc(max_iterations=12))
-        monkeypatch.setattr(smoothing, "_BUILDER", None)
-        monkeypatch.setattr(harness, "_SWEEP_OBJECTIVE", (None, None))
-
-        def dump(record):
-            return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(record).values()]
-
-        cold = dump(run_trial(cfg, 1, 0))
-        assert dump(run_trial(cfg, 1, 0)) == cold
+        noise_mod.sample_bandlimited.cache_clear()  # the parse filled it
+        smoothing._builder.cache_clear()
+        cold = _record_bytes(run_trial(cfg, 1, 0))
+        assert _record_bytes(run_trial(cfg, 1, 0)) == cold
         run_trial(cfg, 1, 1)
-        assert dump(run_trial(cfg, 1, 0)) == cold
+        assert _record_bytes(run_trial(cfg, 1, 0)) == cold
         run_trial(other, 1, 0)
-        assert dump(run_trial(cfg, 1, 0)) == cold
+        assert _record_bytes(run_trial(cfg, 1, 0)) == cold
 
     def test_threads_sharing_the_caches_get_each_trial_s_own_bytes(self):
-        # run_trial's objective memo and the builder cache are replaced by
-        # whichever thread misses last; each trial must still get its own
-        # objective and nodes: more threads than cores, interleaving two
-        # configs' trials with a short switch interval
+        # the draw cache and the builder cache are replaced by whichever
+        # thread misses last; each trial must still get its own objective and
+        # nodes: more threads than cores, interleaving two configs' trials
+        # with a short switch interval
         configs = [parse_config(base_doc(noise=noise, sigma_grid=[0.5, 1.0, 2.0],
                                          max_iterations=8))
                    for noise in ({"kind": "bandlimited", "alpha0": 1.0},

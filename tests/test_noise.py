@@ -97,7 +97,11 @@ class TestBandlimitedNoise:
 
     def test_deterministic_in_seed(self):
         a = sample_bandlimited(3, 1.0, 20, seed=5)
+        # a call in a row with the same arguments shares the draw, which is immutable
+        assert sample_bandlimited(3, 1.0, 20, seed=5) is a and not a.frequencies.flags.writeable
+        sample_bandlimited.cache_clear()
         b = sample_bandlimited(3, 1.0, 20, seed=5)
+        assert b is not a
         np.testing.assert_array_equal(a.frequencies, b.frequencies)
         c = sample_bandlimited(3, 1.0, 20, seed=6)
         assert not np.array_equal(a.frequencies, c.frequencies)

@@ -645,7 +645,7 @@ def test_each_stepped_radius_is_built_once_a_block_at_a_time(case, max_iteration
         builders.append(rule)
         return lambda radii: blocks.append(list(radii)) or nodes_at(radii)
 
-    monkeypatch.setattr(dgs_opt.smoothing, "_BUILDER", None)
+    dgs_opt.smoothing._builder.cache_clear()
     monkeypatch.setattr(dgs_opt.smoothing, "_gh_nodes", counted)
     monkeypatch.setattr(dgs_opt.optimizer, "sigma_at",
                         lambda schedule, t: read.append(t) or read_sigma(schedule, t))

@@ -64,7 +64,7 @@ class TestBases:
 
     def test_list_of_rows_is_stored_as_an_array(self):
         basis = DirectionBasis([[1.0, 0.0], [0.0, 1.0]])
-        assert basis.dimension == 2
+        assert isinstance(basis.columns, np.ndarray) and basis.columns.shape == (2, 2)
         got = dgs_gradient(quadratic_objective(2), np.ones(2), 0.5, build_gh_rule(3), basis)
         np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-12)
 
@@ -549,9 +549,9 @@ def test_dgs_gradient_twice_at_one_radius_builds_once(monkeypatch):
 
 
 def test_an_objective_whose_sines_were_replaced_gets_no_stale_table():
-    # the builder cache is keyed on the objective's sines as well as on the
-    # objective: an estimate or a run after the replacement builds the new
-    # noise's table, though the cache holds the objective's old one
+    # the builder cache is keyed on the values of the objective's sines: an
+    # estimate or a run after the replacement builds the new noise's table,
+    # though the cache holds the old one's builder
     rule, basis, x = build_gh_rule(7), identity_basis(5), np.linspace(-1.0, 1.0, 5)
     calls = [lambda h: dgs_gradient(h, x, 0.5, rule, basis),
              lambda h: run(h, x, SigmaSchedule(0.5), rule, basis, 0.01, 5).iterates]

@@ -1,8 +1,9 @@
 """The project's tooling: its pytest settings, run on a scratch file, and
 what a cold `import dgs_opt` loads, each checked in a fresh interpreter; the
 test extra's packages, checked against the test files' imports; the parsers
-of `tools/bench_record.py`, on canned output; and the summary, `--workload`
-option and `src_lines` line of `tools/bench_pairs.py`, on fixed numbers;
+of `tools/bench_record.py`, on canned output; the summary, `--workload`
+option, failed-run lines and `src_lines` line of `tools/bench_pairs.py`, on
+fixed numbers;
 `tools/step_costs.py` at a tiny repeat count, and its parts against the
 estimate they time."""
 import ast
@@ -213,6 +214,16 @@ def test_bench_pairs_summary_gives_medians_quartiles_and_pairs_won():
         "ok_frac           1 -> 1 ratio (+0.0%); q1-q3 1-1 (0.0%); won 0/4"]  # a tie is no win
     assert summarize(before[:1], after[:1], metrics[:1]) == [
         "wall_s            0.5 -> 0.48 s (-4.0%); q1-q3 0.5-0.5 (0.0%); won 1/1"]
+
+
+def test_bench_pairs_names_each_run_that_failed_or_was_not_correct():
+    crashed = {"exit_code": 1, "stderr_tail": ["Traceback (most recent call last):",
+                                               "KeyError: 'x'"]}
+    wrong = {"exit_code": 0, "meta": _META, "result": {**_RESULT, "correct": False}}
+    clean = {"exit_code": 0, "meta": _META, "result": _RESULT}
+    assert _bench_pairs().failed_runs("HEAD", [clean, crashed, wrong], 101) == [
+        "HEAD, pair 1, seed 102: exit 1, KeyError: 'x'",
+        "HEAD, pair 2, seed 103: exit 0, -"]
 
 
 def _reference_check(*args, patch: str = "") -> subprocess.CompletedProcess:

@@ -8,8 +8,10 @@ directory, touching neither the working tree nor ``.git``. Pair i runs
 revision first in even pairs. Prints, per workload and end-to-end metric of
 BENCHMARK.json, the two medians, the revision's q1-q3 (its share of the median,
 "unresolved" above the metric's bound) and the pairs the working tree won,
-then the two trees' ``src_lines`` from the runs' meta lines. ``--workload``
-may be given more than once. Exits 1 if a run failed or was not correct.
+then the two trees' ``src_lines`` from the runs' meta lines; or, if a run
+failed or was not correct, each such run's tree, pair, seed, exit code and
+last stderr line. ``--workload`` may be given more than once. Exits 1 if a
+run failed or was not correct.
 """
 import argparse
 import json
@@ -48,6 +50,15 @@ def summarize(before: list[dict], after: list[dict], metrics: list[dict]) -> lis
     return lines
 
 
+def failed_runs(tree: str, side: list[dict], first_seed: int) -> list[str]:
+    """One line per run of ``side`` (one tree's runs, in pair order) that
+    failed or was not correct: its tree, pair, seed, exit code and last
+    stderr line ("-" without one)."""
+    return [f"{tree}, pair {pair}, seed {first_seed + pair}: exit {run['exit_code']}, "
+            f"{(run.get('stderr_tail') or ['-'])[-1]}"
+            for pair, run in enumerate(side) if not run.get("result", {}).get("correct")]
+
+
 def src_lines_line(before: list[dict], after: list[dict]) -> str:
     """The two trees' ``src/`` line counts from their runs' meta lines ("-"
     where no run has one)."""
@@ -79,16 +90,16 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 for tree in trees if i % 2 == 0 else trees[::-1]:
                     runs[tree].append(run_side(tree, workload, args.seed + i, args.seconds))
-            results = [[run.get("result", {}) for run in side] for side in runs.values()]
-            ok = all(result.get("correct") for side in results for result in side)
-            failed |= not ok
+            lines = [line for tree, side in zip((args.rev, "working tree"), runs.values())
+                     for line in failed_runs(tree, side, args.seed)]
+            failed |= bool(lines)
             print(f"{workload}: {args.rev} -> working tree, {args.pairs} pairs from seed "
-                  f"{args.seed}" + ("" if ok else ": a run failed or was not correct"))
-            if ok:
-                values = [[{name: metric["value"] for name, metric in result["metrics"].items()}
-                           for result in side] for side in results]
+                  f"{args.seed}" + (": a run failed or was not correct" if lines else ""))
+            if not lines:
+                values = [[{name: m["value"] for name, m in run["result"]["metrics"].items()}
+                           for run in side] for side in runs.values()]
                 lines = [*summarize(*values, metrics), src_lines_line(*runs.values())]
-                print("\n".join(f"  {line}" for line in lines))
+            print("\n".join(f"  {line}" for line in lines))
     return 1 if failed else 0
 
 

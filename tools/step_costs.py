@@ -33,7 +33,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-from dgs_opt import SigmaSchedule, build_gh_rule, harness, run  # noqa: E402
+from dgs_opt import SigmaSchedule, build_gh_rule, harness, noise, run, smoothing  # noqa: E402
 from dgs_opt.smoothing import _ZERO, _gh_gradient, _gh_nodes, c_einsum  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -105,7 +105,9 @@ def sweep_costs(name: str, repeats: int, estimate_us: float) -> dict:
     """Microseconds of workload ``name``'s fixed costs per sweep, from its
     master seed 0 config. "trial setup": the trials of a sweep of 1-step
     trials, run_trial by run_trial on a config parsed afresh for each
-    repeat (as each sweep parses its own), per trial, minus one estimate.
+    repeat from empty draw and builder caches (as each sweep of the
+    benchmark, whose seeds differ, parses its own), per trial, minus one
+    estimate.
     "aggregation": run_experiment without output files, with run_trial
     handing out the sweep's records made beforehand, per sweep."""
     doc = WORKLOADS[name].config_doc(0)
@@ -115,9 +117,13 @@ def sweep_costs(name: str, repeats: int, estimate_us: float) -> dict:
     def trials(config) -> list:
         return [harness.run_trial(config, g, t) for g, t in tasks]
 
-    setup = min(timeit.repeat(
-        lambda: trials(fresh["config"]), number=1, repeat=repeats,
-        setup=lambda: fresh.update(config=harness.parse_config({**doc, "max_iterations": 1}))))
+    def parse_cold():  # a sweep's parse finds no earlier draw or builder of its own
+        noise.sample_bandlimited.cache_clear()
+        smoothing._builder.cache_clear()
+        fresh.update(config=harness.parse_config({**doc, "max_iterations": 1}))
+
+    setup = min(timeit.repeat(lambda: trials(fresh["config"]), number=1, repeat=repeats,
+                              setup=parse_cold))
     config, run_trial = harness.parse_config(doc), harness.run_trial
     records = dict(zip(tasks, trials(config)))
     harness.run_trial = lambda config, g, t: records[g, t]
